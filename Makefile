@@ -46,16 +46,16 @@ bench-json:
 # against the committed BENCH_fleet.json — the CI gate that keeps the replay
 # and sweep hot paths from sliding back — or if the sweep's peak_heap_mb rose
 # >20% (benchdiff's lower-is-better rule: the bounded-memory contract). The
-# untraced, affinity and priority replay benchmarks plus the wide-matrix
-# sweep and saturation search are -required: renaming or dropping any of
-# them must fail the gate, not skip it. The priority benchmark's interleaved
-# slo-urgency/constant cost ratio is additionally capped at 10% by
-# benchdiff's -priority-overhead rule.
+# untraced, saturated, affinity and priority replay benchmarks plus the
+# wide-matrix sweep and saturation search are -required: renaming or
+# dropping any of them must fail the gate, not skip it. The priority
+# benchmark's interleaved slo-urgency/constant cost ratio is additionally
+# capped at 10% by benchdiff's -priority-overhead rule.
 bench-diff:
 	$(GO) test -bench='$(BENCH_PATTERN)' \
 		-benchmem -run='^$$' -json $(BENCH_PKGS) > $(BENCH_FRESH)
 	$(GO) run ./cmd/benchdiff \
-		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch \
+		-require BenchmarkLoadgenReplay,BenchmarkLoadgenReplaySaturated,BenchmarkLoadgenReplayAffinity,BenchmarkLoadgenReplayPriority,BenchmarkSweepWideMatrix,BenchmarkSaturateSearch \
 		BENCH_fleet.json $(BENCH_FRESH)
 
 # fuzz-smoke runs each trace-ingestion fuzz target for a fixed iteration

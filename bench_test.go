@@ -462,6 +462,56 @@ func BenchmarkLoadgenReplay(b *testing.B) {
 	b.ReportMetric(float64(rep.Completed), "jobs_completed")
 }
 
+// BenchmarkLoadgenReplaySaturated measures replay where the queueing stage
+// is the blocking step: bursty arrivals at ~3.4× the capacity of two
+// partitions, 256 submitters and per-class deadlines, under the fair-share
+// order with the slo-urgency priority — every pop ranks a deep backlog by
+// key and by per-user usage. A traced pre-pass fails the benchmark unless
+// some partition's backlog reaches 10³, so the workload cannot drift into
+// the easy case.
+func BenchmarkLoadgenReplaySaturated(b *testing.B) {
+	proc, err := loadgen.NewProcess("bursty", 570)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := loadgen.Generate(loadgen.Config{
+		Seed: 1, Horizon: 8 * time.Hour, Process: proc, Users: 256,
+		Deadlines: workload.DefaultDeadlines(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := loadgen.ReplayConfig{Devices: 2, Seed: 1, Scheduler: "fair-share", Priority: "slo-urgency"}
+	depth, peak := map[string]int{}, 0
+	traced := cfg
+	traced.SpanListener = func(s trace.Span) {
+		switch s.Stage {
+		case trace.StageRoute, trace.MarkRequeued:
+			depth[s.Device]++
+		case trace.StageQueued, trace.StageRequeued:
+			depth[s.Device]--
+		}
+		peak = max(peak, depth[s.Device])
+	}
+	if _, err := loadgen.Replay(tr, traced); err != nil {
+		b.Fatal(err)
+	}
+	if peak < 1000 {
+		b.Fatalf("peak per-partition backlog %d < 1000: the trace no longer saturates", peak)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep *loadgen.Report
+	for i := 0; i < b.N; i++ {
+		if rep, err = loadgen.Replay(tr, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "jobs_per_wall_s")
+	b.ReportMetric(float64(rep.Completed), "jobs_completed")
+	b.ReportMetric(float64(peak), "backlog_max")
+}
+
 // BenchmarkLoadgenReplayAffinity measures the replay hot path with the
 // program cache and the affinity router engaged on a repeated-program trace
 // (the parameter-sweep workload shape the cache exists for): per-partition
@@ -556,16 +606,15 @@ func BenchmarkLoadgenReplayTraced(b *testing.B) {
 
 // BenchmarkLoadgenReplayPriority measures the deadline-urgency scheduling
 // axis on the replay hot path: a 2-hour deadline-stamped trace replayed
-// under slo-urgency. Unlike the constant default — which short-circuits onto
-// the legacy pop — a live priority policy re-scores the winning class's
-// backlog on every dispatch, so this is the axis's worst-case dispatch cost.
+// under slo-urgency. The priority key is computed once per enqueue, so a
+// live priority should cost no more per dispatch than the constant default.
 //
 // Each iteration runs an slo-urgency and a constant (fifo-equivalent) replay
 // back to back and reports their cost ratio as priority_overhead_pct;
 // benchdiff's -priority-overhead rule gates that metric in CI at 10%, the
 // same interleaved-ratio construction the tracing gate uses (immune to
 // machine speed across files and heap drift within a run). allocs/op and
-// B/op are measured around the slo-urgency replay only — scoring must not
+// B/op are measured around the slo-urgency replay only — keying must not
 // put allocation on the pop path.
 func BenchmarkLoadgenReplayPriority(b *testing.B) {
 	proc, err := loadgen.NewProcess("bursty", 150)
@@ -709,9 +758,13 @@ func BenchmarkSweepWideMatrix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Workers is pinned because peak heap is O(workers): left at the
+	// GOMAXPROCS default, the peak_heap_mb gate would compare recordings by
+	// their machines' CPU counts.
 	cfg := loadgen.SweepConfig{
 		Devices:     4,
 		Seed:        3,
+		Workers:     2,
 		Priorities:  []string{"constant", "age"},
 		FleetSizes:  []int{2, 4},
 		Preemptions: []string{"on", "off"},

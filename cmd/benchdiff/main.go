@@ -29,10 +29,9 @@
 // replay benchmark reports trace_overhead_pct, capped by -trace-overhead —
 // span emission is sold as allocation-lean observation, and this is where
 // that claim is enforced. The priority replay benchmark reports
-// priority_overhead_pct — the cost of slo-urgency's per-dispatch backlog
-// re-scoring over the constant policy's legacy pop — capped by
-// -priority-overhead: the deadline axis must stay a scheduling knob, not a
-// replay throughput tax.
+// priority_overhead_pct — the cost of slo-urgency's keyed pop over the
+// constant policy's — capped by -priority-overhead: the deadline axis must
+// stay a scheduling knob, not a replay throughput tax.
 package main
 
 import (
@@ -102,11 +101,18 @@ func parseFile(path string) (map[string]map[string]float64, error) {
 }
 
 // parseResultLine parses one `BenchmarkName  N  v1 unit1  v2 unit2 ...`
-// result line. ok is false for non-result lines.
+// result line. ok is false for non-result lines. The name drops the -P
+// GOMAXPROCS suffix `go test` appends when P > 1, so recordings from
+// machines with different CPU counts name the same benchmark the same way.
 func parseResultLine(line string) (string, map[string]float64, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return "", nil, false
+	}
+	if i := strings.LastIndexByte(fields[0], '-'); i > 0 {
+		if _, err := strconv.Atoi(fields[0][i+1:]); err == nil {
+			fields[0] = fields[0][:i]
+		}
 	}
 	if _, err := strconv.Atoi(fields[1]); err != nil {
 		return "", nil, false

@@ -27,9 +27,10 @@
 //     submissions may also pin a named partition (pins bypass the
 //     router, never the admission door).
 //   - Queueing ("what order"): each partition keeps its own
-//     sched.ClassQueue with the paper's priority classes; a
-//     daemon.OrderPolicy (fifo, fair-share, shortest-expected-first)
-//     orders work within a class.
+//     sched.ClassQueue with the paper's priority classes; within a class
+//     a daemon.PriorityPolicy key (constant, age, slo-urgency, edf) ranks
+//     work and a daemon.OrderPolicy (fifo, fair-share,
+//     shortest-expected-first) breaks key ties.
 //   - Dispatch ("when, whom to preempt"): production preemption,
 //     confined to the victim's partition; the waits and slowdowns it
 //     produces feed back into the admission stage.

@@ -411,9 +411,6 @@ func TestOrderPolicyConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	order, _ := NewOrder("fair-share")
-	if _, err := NewDaemon(Config{Device: dev, Clock: clk, Order: order, ShortestFirst: true}); err == nil {
-		t.Fatal("Order combined with ShortestFirst accepted")
-	}
 	d, err := NewDaemon(Config{Device: dev, Clock: clk, Order: order})
 	if err != nil {
 		t.Fatal(err)

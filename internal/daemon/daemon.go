@@ -141,6 +141,9 @@ type Job struct {
 	// preemption requeue) — the start of its current queued/requeued trace
 	// span. Guarded by d.mu like the exported timing fields.
 	enqueuedAt time.Duration
+	// item is the job's current queue entry, the handle CancelJob removes
+	// in O(log n). Guarded by d.mu.
+	item *sched.Item
 }
 
 // ClassName renders the class for JSON consumers.
@@ -230,13 +233,13 @@ type Config struct {
 	// that implement admission.Observer receive the SLO feedback signals
 	// (queue waits, slowdowns) the dispatch stages produce.
 	Admission admission.Policy
-	// Order is the queueing stage's within-class order. Defaults to FIFO.
-	// Mutually exclusive with the FairShare/ShortestFirst shorthands below.
+	// Order is the queueing stage's within-class order (fifo, fair-share,
+	// shortest-first): the tie-break among equal priority keys. Defaults to
+	// FIFO.
 	Order OrderPolicy
-	// Priority is the dynamic-urgency axis composing with Order: a per-item
-	// score recomputed at each dispatch tick, with the order policy breaking
-	// score ties. Defaults to the constant policy, which leaves dispatch on
-	// the exact legacy order-only path (byte-identical reports).
+	// Priority is the urgency axis composing with Order: a static per-item
+	// key computed at enqueue, with the order policy breaking key ties.
+	// Defaults to the constant policy, under which the order alone decides.
 	Priority PriorityPolicy
 	// RejectedHistory bounds how many terminal rejected job records are
 	// retained for status queries (default 1024). Admission exists to
@@ -252,15 +255,6 @@ type Config struct {
 	// jobs (the paper's policy; on by default via NewDaemon). Preemption is
 	// confined to the partition the production job was routed to.
 	EnablePreemption bool
-	// FairShare orders jobs within a class by their owner's accumulated
-	// QPU seconds (least-served first) instead of plain FIFO — the
-	// "fairer resource sharing" extension the paper's discussion names.
-	FairShare bool
-	// ShortestFirst orders jobs within a class by expected QPU duration
-	// (shortest first, FIFO on ties) — the paper's §3.5 proposal to use
-	// "the expected time running on the QC hardware" as a scheduler hint.
-	// Mutually exclusive with FairShare.
-	ShortestFirst bool
 	// AllowedLowLevelOps is the gated allowlist of low-level control
 	// operations exposed to integrators (§2.5). Others are rejected.
 	AllowedLowLevelOps []string
@@ -372,13 +366,8 @@ type Daemon struct {
 	cfg    Config
 	router Router
 	order  OrderPolicy
-	// priority is the dynamic-urgency axis; priorityTie is the order
-	// policy's comparator factory for breaking score ties (nil when the
-	// order cannot express one — FIFO tie-break then). priorityConstant
-	// short-circuits dispatch onto the legacy order-only pop path.
-	priority         PriorityPolicy
-	priorityTie      func(usage func() map[string]float64) func(a, b *sched.Item) bool
-	priorityConstant bool
+	// priority keys each job as it enters a partition queue.
+	priority PriorityPolicy
 
 	// admitMu serializes admission decisions so stateful policies (token
 	// buckets, SLO windows) see submissions in a single, reproducible order.
@@ -413,8 +402,10 @@ type Daemon struct {
 	// million-job replay must not grow daemon memory linearly in jobs.
 	waitSum      map[sched.Class]time.Duration
 	waitCount    map[sched.Class]int
-	usageByUser  map[string]float64 // accumulated QPU seconds, fair-share key
 	preemptTotal int
+	// usage is the per-user QPU-seconds ledger the fair-share order ranks
+	// by, shared by every partition queue; it carries its own leaf lock.
+	usage *sched.Usage
 	// rejectedTotal counts every admission shed over the daemon's lifetime;
 	// rejectedIDs is the FIFO of retained rejected job records, pruned at
 	// cfg.RejectedHistory.
@@ -504,12 +495,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if len(devices) == 0 || cfg.Clock == nil {
 		return nil, errors.New("daemon: config requires at least one device and a clock")
 	}
-	if cfg.FairShare && cfg.ShortestFirst {
-		return nil, errors.New("daemon: FairShare and ShortestFirst are mutually exclusive within-class orders")
-	}
-	if cfg.Order != nil && (cfg.FairShare || cfg.ShortestFirst) {
-		return nil, errors.New("daemon: Order and the FairShare/ShortestFirst shorthands are mutually exclusive")
-	}
 	if len(cfg.AllowedLowLevelOps) == 0 {
 		cfg.AllowedLowLevelOps = []string{"recalibrate", "qa_check"}
 	}
@@ -531,14 +516,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	order := cfg.Order
 	if order == nil {
-		switch {
-		case cfg.FairShare:
-			order = fairShareOrder{}
-		case cfg.ShortestFirst:
-			order = shortestFirstOrder{}
-		default:
-			order = fifoOrder{}
-		}
+		order = fifoOrder{}
 	}
 	admitter := cfg.Admission
 	if admitter == nil {
@@ -549,22 +527,18 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		priority = constantPriority{}
 	}
 	d := &Daemon{
-		cfg:         cfg,
-		router:      router,
-		order:       order,
-		priority:    priority,
-		admitter:    admitter,
-		byDevice:    make(map[string]*deviceState, len(devices)),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		sessions:    make(map[string]*Session),
-		jobs:        make(map[string]*Job),
-		waitSum:     make(map[sched.Class]time.Duration),
-		waitCount:   make(map[sched.Class]int),
-		usageByUser: make(map[string]float64),
-	}
-	_, d.priorityConstant = priority.(constantPriority)
-	if cmp, ok := order.(orderComparator); ok {
-		d.priorityTie = cmp.less
+		cfg:       cfg,
+		router:    router,
+		order:     order,
+		priority:  priority,
+		admitter:  admitter,
+		byDevice:  make(map[string]*deviceState, len(devices)),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		sessions:  make(map[string]*Session),
+		jobs:      make(map[string]*Job),
+		waitSum:   make(map[sched.Class]time.Duration),
+		waitCount: make(map[sched.Class]int),
+		usage:     sched.NewUsage(),
 	}
 	d.admitObserver, _ = admitter.(admission.Observer)
 	d.internAdmissionDetails()
@@ -584,7 +558,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		ds := &deviceState{
 			id:      dev.ID(),
 			dev:     dev,
-			queue:   sched.NewClassQueue(),
+			queue:   sched.NewClassQueue(order.tieBreak(priority), d.usage),
 			spec:    dev.Spec(),
 			cache:   newProgLRU(cfg.ProgramCache),
 			byTask:  make(map[string]*Job),
@@ -673,13 +647,13 @@ func (d *Daemon) AdmissionName() string { return d.admitter.Name() }
 // OrderName reports the active within-class queueing order.
 func (d *Daemon) OrderName() string { return d.order.Name() }
 
-// PriorityName reports the active priority (dynamic-urgency) policy.
+// PriorityName reports the active priority (urgency key) policy.
 func (d *Daemon) PriorityName() string { return d.priority.Name() }
 
 // priorityStatusName renders the priority axis for status reports: empty
 // under the constant default, so reports predating the axis are unchanged.
 func (d *Daemon) priorityStatusName() string {
-	if d.priorityConstant {
+	if _, constant := d.priority.(constantPriority); constant {
 		return ""
 	}
 	return d.priority.Name()
@@ -984,12 +958,13 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageRoute, Class: cls, Device: ds.id,
 			Start: tAdmit, End: now, Detail: routeDetail})
 	}
+	item := d.queueItemLocked(j)
 	d.mu.Unlock()
 
 	// Stage 3: queueing — the partition's ClassQueue holds the job under
-	// class priority; the configured OrderPolicy acts within the class at
-	// pop time. Stage 4: dispatch.
-	if err := ds.queue.Push(d.queueItem(j)); err != nil {
+	// class priority, ranked within the class by its priority key and the
+	// order's tie-break. Stage 4: dispatch.
+	if err := ds.queue.Push(item); err != nil {
 		return nil, err
 	}
 	release()
@@ -1084,10 +1059,11 @@ func (d *Daemon) lookupDevice(id string) (*deviceState, error) {
 
 // queueLens snapshots a partition queue's depth by class name.
 func queueLens(q *sched.ClassQueue) map[string]int {
+	counts, _, _, _ := q.ClassLoads()
 	return map[string]int{
-		"production": q.LenClass(sched.ClassProduction),
-		"test":       q.LenClass(sched.ClassTest),
-		"dev":        q.LenClass(sched.ClassDev),
+		"production": counts[sched.ClassProduction],
+		"test":       counts[sched.ClassTest],
+		"dev":        counts[sched.ClassDev],
 	}
 }
 
@@ -1107,13 +1083,15 @@ func defaultSource(s string) string {
 	return s
 }
 
-// queueItem builds the scheduler item for a job, carrying the class,
-// pattern and duration hints the queue policies consume.
-func (d *Daemon) queueItem(j *Job) *sched.Item {
+// queueItemLocked builds the scheduler item for a job's next enqueue — the
+// class, owner, hints and the priority key the queue ranks by — and records
+// it as the job's current item (the handle CancelJob removes). Caller holds
+// d.mu.
+func (d *Daemon) queueItemLocked(j *Job) *sched.Item {
 	it := &sched.Item{
 		ID:          j.ID,
 		Class:       j.Class,
-		Pattern:     j.Pattern,
+		User:        j.User,
 		Enqueued:    j.SubmittedAt,
 		ExpectedQPU: simclock.Seconds(j.ExpectedQPUSeconds),
 		Payload:     j,
@@ -1123,6 +1101,8 @@ func (d *Daemon) queueItem(j *Job) *sched.Item {
 		// preemption requeue keeps — not resets — the job's urgency.
 		it.Deadline = j.SubmittedAt + simclock.Seconds(j.DeadlineSeconds)
 	}
+	it.Key = d.priority.Key(it)
+	j.item = it
 	return it
 }
 
@@ -1188,7 +1168,7 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 		stale := nj.State != JobQueued
 		d.mu.Unlock()
 		if stale {
-			ds.queue.Remove(nj.ID)
+			ds.queue.Remove(next)
 			return true
 		}
 	}
@@ -1203,7 +1183,7 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 			if nj, ok := next.Payload.(*Job); ok && nj.State != JobQueued {
 				d.mu.Unlock()
 				ds.mu.Unlock()
-				ds.queue.Remove(next.ID)
+				ds.queue.Remove(next)
 				return true
 			}
 			taskID := run.DeviceTask
@@ -1222,12 +1202,13 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	}
 	ds.mu.Unlock()
 
-	item := d.popNext(ds)
+	item := ds.queue.Pop()
 	if item == nil {
 		return false
 	}
 	j := item.Payload.(*Job)
 	d.mu.Lock()
+	j.item = nil // out of the queue: let the item be collected
 	if j.State != JobQueued {
 		d.mu.Unlock()
 		return true // stale item (cancelled while queued); try the next one
@@ -1284,37 +1265,6 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	// Submission failed (validation drift, maintenance window, ...).
 	d.finishJob(j, JobFailed, nil, err)
 	return true
-}
-
-// popNext removes the next item under the configured within-class order —
-// the queueing stage's policy hook. Under the constant priority it is the
-// order policy's own Pop, untouched; a non-constant priority re-scores the
-// backlog at this tick and hands score ties to the order's comparator.
-func (d *Daemon) popNext(ds *deviceState) *sched.Item {
-	if d.priorityConstant {
-		return d.order.Pop(ds.queue, d.usageSnapshot)
-	}
-	now := d.cfg.Clock.Now()
-	var tie func(a, b *sched.Item) bool
-	if d.priorityTie != nil {
-		tie = d.priorityTie(d.usageSnapshot)
-	}
-	return ds.queue.PopByScore(func(it *sched.Item) float64 {
-		return d.priority.Score(it, now)
-	}, tie)
-}
-
-// usageSnapshot copies the per-user accumulated QPU-seconds map — the
-// fair-share order's key — outside the queue lock, so the pop comparator
-// never nests d.mu inside the queue's own mutex.
-func (d *Daemon) usageSnapshot() map[string]float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	usage := make(map[string]float64, len(d.usageByUser))
-	for u, v := range d.usageByUser {
-		usage[u] = v
-	}
-	return usage
 }
 
 // startJob records a successful device submission. If the task's terminal
@@ -1425,8 +1375,8 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 		if err != nil {
 			d.finishJob(j, JobFailed, nil, err)
 		} else {
+			d.usage.Add(j.User, res.QPUSeconds)
 			d.mu.Lock()
-			d.usageByUser[j.User] += res.QPUSeconds
 			j.res = res
 			d.mu.Unlock()
 			d.finishJob(j, JobCompleted, nil, nil)
@@ -1457,8 +1407,9 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 		if preempted {
 			// Cross-partition requeue: if another idle partition can take the
 			// victim, re-route it through the router rather than pinning it
-			// behind the production job that evicted it. Seniority (original
-			// submit time) is preserved inside its class by FIFO on re-push.
+			// behind the production job that evicted it. The new queue item
+			// keeps the original submit time as Enqueued, so every order but
+			// constant-priority fifo (push order) keeps the victim's seniority.
 			target := d.requeuePartition(j, ds)
 			d.mu.Lock()
 			if target != ds {
@@ -1469,8 +1420,9 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkRequeued, Class: j.Class.String(),
 					Device: target.id, Start: j.enqueuedAt, End: j.enqueuedAt})
 			}
+			item := d.queueItemLocked(j)
 			d.mu.Unlock()
-			_ = target.queue.Push(d.queueItem(j))
+			_ = target.queue.Push(item)
 			if target != ds {
 				d.routeDone(target)
 				d.dispatchDevice(target)
@@ -1613,9 +1565,10 @@ func (d *Daemon) CancelJob(token, jobID string, force bool) error {
 		// a concurrent dispatcher popping the item sees the terminal state
 		// and skips it; the queue entry is then removed best-effort.
 		d.finishLocked(j, JobCancelled, nil, nil)
+		item := j.item
 		d.mu.Unlock()
 		if ds != nil {
-			ds.queue.Remove(jobID)
+			ds.queue.Remove(item)
 		}
 	case JobRunning:
 		taskID := j.DeviceTask
@@ -1859,27 +1812,26 @@ func (d *Daemon) emitQueueTelemetry() {
 	if d.mQueueLen == nil && d.cfg.TSDB == nil {
 		return
 	}
-	classes := []sched.Class{sched.ClassDev, sched.ClassTest, sched.ClassProduction}
 	now := d.cfg.Clock.Now()
-	totals := make(map[sched.Class]float64, len(classes))
+	var totals [sched.ClassProduction + 1]float64
 	for _, ds := range d.fleet {
-		for _, c := range classes {
-			n := float64(ds.queue.LenClass(c))
-			totals[c] += n
-			ds.gQueue[c].Set(n)
+		counts, _, _, _ := ds.queue.ClassLoads()
+		for c, n := range counts {
+			totals[c] += float64(n)
+			ds.gQueue[c].Set(float64(n))
 			if d.cfg.TSDB != nil {
 				d.cfg.TSDB.Append("daemon_device_queue_length",
-					telemetry.Labels{"device": ds.id, "class": c.String()}, now, n)
+					telemetry.Labels{"device": ds.id, "class": sched.Class(c).String()}, now, float64(n))
 			}
 		}
 		if ds.gUtil != nil {
 			ds.gUtil.Set(ds.dev.Utilization())
 		}
 	}
-	for _, c := range classes {
-		d.bQueueTotal[c].Set(totals[c])
+	for c, total := range totals {
+		d.bQueueTotal[c].Set(total)
 		if d.cfg.TSDB != nil {
-			d.cfg.TSDB.Append("daemon_queue_length", telemetry.Labels{"class": c.String()}, now, totals[c])
+			d.cfg.TSDB.Append("daemon_queue_length", telemetry.Labels{"class": sched.Class(c).String()}, now, total)
 		}
 	}
 }

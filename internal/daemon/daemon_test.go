@@ -360,7 +360,7 @@ func TestFairShareOrdersWithinClass(t *testing.T) {
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 51})
 	d, _ := NewDaemon(Config{
 		Device: dev, Clock: clk, AdminToken: "x",
-		EnablePreemption: true, FairShare: true,
+		EnablePreemption: true, Order: fairShareOrder{},
 	})
 	alice, _ := d.OpenSession("alice")
 	bob, _ := d.OpenSession("bob")

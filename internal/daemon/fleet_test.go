@@ -409,8 +409,9 @@ func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
 		SubmittedAt: env.clk.Now(), payload: payload(t, 10),
 	}
 	env.d.jobs[ghost.ID] = ghost
+	item := env.d.queueItemLocked(ghost)
 	env.d.mu.Unlock()
-	if err := ds.queue.Push(env.d.queueItem(ghost)); err != nil {
+	if err := ds.queue.Push(item); err != nil {
 		t.Fatal(err)
 	}
 	env.d.mu.Lock()

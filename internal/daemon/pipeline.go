@@ -14,9 +14,10 @@ package daemon
 //	    │               (round-robin, least-loaded, class-affinity; pins skip
 //	    │                the router but never the door)
 //	    ▼
-//	[3] queueing    OrderPolicy over sched.ClassQueue — what order within
-//	    │               the partition (fifo, fair-share, shortest-first;
-//	    │                class priority is fixed, the order acts within class)
+//	[3] queueing    PriorityPolicy key + OrderPolicy tie-break over
+//	    │               sched.ClassQueue — what order within the partition
+//	    │               (class priority is fixed; the key and order act
+//	    │                within class, O(log n) per pop)
 //	    ▼
 //	[4] dispatch    per-partition dispatch loop — when to run, whom to
 //	                    preempt (production preempts lower classes; serial
@@ -38,86 +39,46 @@ import (
 
 // --- queueing stage ---
 
-// OrderPolicy is the queueing stage's pluggable within-class order: it
-// removes the next item to dispatch from a partition queue. Class priority
-// is owned by sched.ClassQueue itself; an order only chooses among items of
-// the highest non-empty class.
+// OrderPolicy is the queueing stage's within-class order: the tie-break a
+// partition's sched.ClassQueue applies among items whose PriorityPolicy keys
+// are equal. Class priority is owned by the queue itself; an order only
+// ranks items of the highest non-empty class.
 type OrderPolicy interface {
 	// Name identifies the order for status reports and sweep axes.
 	Name() string
-	// Pop removes the next item. usage lazily supplies the per-user
-	// accumulated QPU-seconds snapshot; orders that do not need it must not
-	// call it (it takes the daemon's accounting lock).
-	Pop(q *sched.ClassQueue, usage func() map[string]float64) *sched.Item
+	// tieBreak is the queue order this policy ranks by under priority p.
+	tieBreak(p PriorityPolicy) sched.Order
 }
 
-// fifoOrder is plain arrival order within a class.
+// fifoOrder is arrival order within a class.
 type fifoOrder struct{}
 
 func (fifoOrder) Name() string { return "fifo" }
-func (fifoOrder) Pop(q *sched.ClassQueue, _ func() map[string]float64) *sched.Item {
-	return q.Pop()
+
+// Under the constant priority fifo is push order, so a preempted job
+// re-queues behind later arrivals; under any other it breaks key ties by
+// seniority (earliest Enqueued). Both are how earlier builds dispatched.
+func (fifoOrder) tieBreak(p PriorityPolicy) sched.Order {
+	if _, constant := p.(constantPriority); constant {
+		return sched.OrderFIFO
+	}
+	return sched.OrderSeniority
 }
 
-// fairShareOrder runs the least-served user first within a class (FIFO on
-// ties) — the "fairer resource sharing" extension the paper's discussion
-// names.
+// fairShareOrder runs the least-served user first within a class (earliest
+// submission on ties) — the "fairer resource sharing" extension the paper's
+// discussion names. Usage is the daemon's per-user QPU-seconds ledger.
 type fairShareOrder struct{}
 
-func (fairShareOrder) Name() string { return "fair-share" }
-func (fairShareOrder) Pop(q *sched.ClassQueue, usage func() map[string]float64) *sched.Item {
-	served := usage()
-	return q.PopBy(func(a, b *sched.Item) bool {
-		ua := served[a.Payload.(*Job).User]
-		ub := served[b.Payload.(*Job).User]
-		if ua != ub {
-			return ua < ub
-		}
-		return a.Enqueued < b.Enqueued
-	})
-}
+func (fairShareOrder) Name() string                        { return "fair-share" }
+func (fairShareOrder) tieBreak(PriorityPolicy) sched.Order { return sched.OrderFairShare }
 
 // shortestFirstOrder orders by the expected QPU duration hint (§3.5),
-// shortest first, FIFO on ties.
+// shortest first, earliest submission on ties.
 type shortestFirstOrder struct{}
 
-func (shortestFirstOrder) Name() string { return "shortest-first" }
-func (shortestFirstOrder) Pop(q *sched.ClassQueue, _ func() map[string]float64) *sched.Item {
-	return q.PopBy(sched.ShortestExpectedFirst)
-}
-
-// orderComparator is the composition hook between the queueing and priority
-// axes: an order that can state its policy as a pairwise comparator lets a
-// non-constant PriorityPolicy compose with it — the priority score decides,
-// and the order's comparator breaks score ties. All built-in orders
-// implement it; a custom OrderPolicy that does not falls back to FIFO
-// tie-breaking under a non-constant priority.
-type orderComparator interface {
-	// less returns the order's within-class comparator. usage is the same
-	// lazy per-user QPU-seconds snapshot Pop receives; orders that do not
-	// need it must not call it.
-	less(usage func() map[string]float64) func(a, b *sched.Item) bool
-}
-
-func (fifoOrder) less(_ func() map[string]float64) func(a, b *sched.Item) bool {
-	return func(a, b *sched.Item) bool { return a.Enqueued < b.Enqueued }
-}
-
-func (fairShareOrder) less(usage func() map[string]float64) func(a, b *sched.Item) bool {
-	served := usage()
-	return func(a, b *sched.Item) bool {
-		ua := served[a.Payload.(*Job).User]
-		ub := served[b.Payload.(*Job).User]
-		if ua != ub {
-			return ua < ub
-		}
-		return a.Enqueued < b.Enqueued
-	}
-}
-
-func (shortestFirstOrder) less(_ func() map[string]float64) func(a, b *sched.Item) bool {
-	return sched.ShortestExpectedFirst
-}
+func (shortestFirstOrder) Name() string                        { return "shortest-first" }
+func (shortestFirstOrder) tieBreak(PriorityPolicy) sched.Order { return sched.OrderShortestFirst }
 
 // NewOrder builds a within-class order by name ("fifo", "fair-share",
 // "shortest-first") — the switch behind the loadgen scheduler axis.

@@ -1,18 +1,21 @@
 package daemon
 
-// The priority axis is the fourth pluggable stage knob: where an OrderPolicy
-// fixes a static within-class order (arrival, user fairness, duration hint),
-// a PriorityPolicy re-scores every queued item at each dispatch tick, so the
-// order can *change while jobs wait* — the property deadline urgency and
-// anti-starvation aging need and no static comparator can express. The two
-// axes compose instead of competing: the score decides, and the order
-// policy's comparator breaks score ties, so `slo-urgency × fair-share` means
-// "most urgent first, least-served user among equally urgent".
+// The priority axis is the fourth pluggable stage knob: a PriorityPolicy
+// gives each queued item a static integer key, and the OrderPolicy breaks
+// key ties, so `slo-urgency × fair-share` means "most urgent first,
+// least-served user among equally urgent".
 //
-// The `constant` policy is the identity element: every item scores the same,
-// the tie-break does all the work, and the daemon short-circuits it onto the
-// exact legacy OrderPolicy.Pop path so replay reports stay byte-identical to
-// a build without the axis (the determinism sweeps gate this).
+// Keys are static: computed once when a job enters a queue. Every built-in
+// urgency is a per-item term plus the clock, which every queued item shares
+// and so cannot change a ranking — the order is fixed at enqueue:
+//
+//	constant     0                  (the order alone decides)
+//	age          −Enqueued          (waiting time now − Enqueued, minus now)
+//	edf          −deadline
+//	slo-urgency  service − deadline (−slack, minus now)
+//
+// Integer-ns keys rank exactly like float64 seconds below 2⁵² ns (~52 days).
+// A policy whose ranking could change while jobs wait does not fit.
 
 import (
 	"fmt"
@@ -24,55 +27,50 @@ import (
 	"hpcqc/internal/workload"
 )
 
-// PriorityPolicy is the dynamic-urgency scheduling axis: a per-item score
-// recomputed at each dispatch tick. The highest score within the highest
-// non-empty class dispatches next; the active OrderPolicy breaks ties.
+// PriorityPolicy is the urgency scheduling axis: a static per-item key. The
+// highest key within the highest non-empty class dispatches next; the active
+// OrderPolicy breaks ties.
 type PriorityPolicy interface {
 	// Name identifies the policy for status reports and sweep axes,
 	// including any inline parameters (e.g. "slo-urgency:deadline=120s").
 	Name() string
-	// Score rates a queued item at sim time now; higher is more urgent.
-	// Called under the partition queue lock, once per queued item of the
-	// winning class — it must be fast, pure, and must not call back into
-	// the daemon or the queue.
-	Score(it *sched.Item, now time.Duration) float64
+	// Key ranks a job entering a queue; higher is more urgent. It is called
+	// once per enqueue and must be a pure function of the item.
+	Key(it *sched.Item) int64
 }
 
-// noDeadlineScore sorts items without any resolvable deadline behind every
+// noDeadlineKey sorts items without any resolvable deadline behind every
 // item that has one, for the deadline-driven policies. Equal among
 // themselves, so the order policy's tie-break takes over.
-const noDeadlineScore = -math.MaxFloat64
+const noDeadlineKey = math.MinInt64
 
-// constantPriority is the default identity policy: all items score equally,
-// leaving the order policy in sole control. The daemon detects it and keeps
-// dispatch on the legacy pop path.
+// constantPriority is the default identity policy: all items key equally,
+// leaving the order policy in sole control.
 type constantPriority struct{}
 
-func (constantPriority) Name() string                              { return "constant" }
-func (constantPriority) Score(*sched.Item, time.Duration) float64 { return 0 }
+func (constantPriority) Name() string          { return "constant" }
+func (constantPriority) Key(*sched.Item) int64 { return 0 }
 
-// agePriority scores items by time spent queued — pure anti-starvation: the
+// agePriority ranks items by time spent queued — pure anti-starvation: the
 // longest-waiting item runs first regardless of how it arrived. Within a
 // single class this degrades to seniority order; its value is keeping
 // preemption-requeued jobs (whose Enqueued stays the original submit time)
 // ahead of younger arrivals.
 type agePriority struct{}
 
-func (agePriority) Name() string { return "age" }
-func (agePriority) Score(it *sched.Item, now time.Duration) float64 {
-	return (now - it.Enqueued).Seconds()
-}
+func (agePriority) Name() string             { return "age" }
+func (agePriority) Key(it *sched.Item) int64 { return -int64(it.Enqueued) }
 
 // deadlinePriority implements both deadline-driven policies over the same
 // deadline resolution: an item's explicit Deadline when it carries one,
 // otherwise the per-class fallback contract applied to its enqueue time.
 //
-//	edf         score = −deadline: classic earliest-deadline-first.
-//	slo-urgency score = −slack, slack = deadline − now − expected service:
-//	            least-slack-first. Unlike EDF the score keeps rising once a
-//	            job is late (slack < 0), and jobs with equal deadlines but
-//	            longer service sort ahead — the shape that converts urgency
-//	            into deadline hits when service times are heterogeneous.
+//	edf         key = −deadline: classic earliest-deadline-first.
+//	slo-urgency key = service − deadline: least-slack-first, slack =
+//	            deadline − now − expected service. Jobs with equal
+//	            deadlines but longer service sort ahead — the shape that
+//	            converts urgency into deadline hits when service times are
+//	            heterogeneous.
 type deadlinePriority struct {
 	label    string
 	edf      bool
@@ -95,15 +93,15 @@ func (p *deadlinePriority) deadline(it *sched.Item) time.Duration {
 	return 0
 }
 
-func (p *deadlinePriority) Score(it *sched.Item, now time.Duration) float64 {
+func (p *deadlinePriority) Key(it *sched.Item) int64 {
 	dl := p.deadline(it)
 	if dl <= 0 {
-		return noDeadlineScore
+		return noDeadlineKey
 	}
 	if p.edf {
-		return -dl.Seconds()
+		return -int64(dl)
 	}
-	return -(dl - now - it.ExpectedQPU).Seconds()
+	return int64(it.ExpectedQPU - dl)
 }
 
 // configure applies colon-separated key=value parameters to the fallback

@@ -19,11 +19,9 @@ func TestConstantPriorityScoresEverythingEqually(t *testing.T) {
 		{Class: sched.ClassProduction, Enqueued: time.Hour, ExpectedQPU: time.Minute, Deadline: 2 * time.Hour},
 		{Deadline: -time.Second},
 	}
-	for _, now := range []time.Duration{0, time.Nanosecond, 7 * 24 * time.Hour} {
-		for i, it := range items {
-			if s := p.Score(it, now); s != 0 {
-				t.Fatalf("constant score(item %d, now %s) = %g, want 0", i, now, s)
-			}
+	for i, it := range items {
+		if k := p.Key(it); k != 0 {
+			t.Fatalf("constant key(item %d) = %d, want 0", i, k)
 		}
 	}
 	if p.Name() != "constant" {
@@ -31,38 +29,33 @@ func TestConstantPriorityScoresEverythingEqually(t *testing.T) {
 	}
 }
 
-// TestAgePriorityBoundaries covers the zero-age instant, monotone growth,
-// and week-long sim times — 7 days of waiting must stay finite and ordered,
-// not overflow or saturate.
+// TestAgePriorityBoundaries covers the zero instant, seniority order and
+// week-long sim times: the key is −Enqueued, which is the waiting time
+// now − Enqueued minus the now every queued item shares.
 func TestAgePriorityBoundaries(t *testing.T) {
 	p, err := NewPriority("age")
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := &sched.Item{Enqueued: time.Hour}
-	if s := p.Score(it, time.Hour); s != 0 {
-		t.Fatalf("age at enqueue instant = %g, want 0", s)
+	if k := p.Key(&sched.Item{}); k != 0 {
+		t.Fatalf("age key at Enqueued 0 = %d, want 0", k)
 	}
 	week := 7 * 24 * time.Hour
-	s := p.Score(it, time.Hour+week)
-	if s != week.Seconds() {
-		t.Fatalf("week-old item scores %g, want %g", s, week.Seconds())
-	}
-	if math.IsInf(s, 0) || math.IsNaN(s) {
-		t.Fatalf("week-old age score is not finite: %g", s)
+	it := &sched.Item{Enqueued: time.Hour}
+	younger := &sched.Item{Enqueued: time.Hour + week}
+	if p.Key(it) != -int64(time.Hour) || p.Key(it)-p.Key(younger) != int64(week) {
+		t.Fatalf("age keys %d, %d: want −Enqueued", p.Key(it), p.Key(younger))
 	}
 	// Strictly monotone in waiting time: an older item always outranks a
-	// younger one at the same tick.
-	younger := &sched.Item{Enqueued: 2 * time.Hour}
-	now := time.Hour + week
-	if p.Score(it, now) <= p.Score(younger, now) {
+	// younger one.
+	if p.Key(it) <= p.Key(younger) {
 		t.Fatal("older item does not outrank younger item")
 	}
 }
 
-// TestSLOUrgencyBoundaries drives the least-slack score through the deadline:
-// positive slack, exactly-zero slack, and already-late jobs whose urgency
-// must keep rising instead of clamping.
+// TestSLOUrgencyBoundaries pins the least-slack key: service − deadline,
+// which is −slack − now for slack = deadline − now − service. Late jobs
+// (negative slack) keep their rank above every job with more slack.
 func TestSLOUrgencyBoundaries(t *testing.T) {
 	p, err := NewPriority("slo-urgency")
 	if err != nil {
@@ -73,26 +66,24 @@ func TestSLOUrgencyBoundaries(t *testing.T) {
 		ExpectedQPU: 30 * time.Second,
 		Deadline:    10 * time.Minute,
 	}
-	// slack = 10m − now − 30s.
-	if s := p.Score(it, 0); s != -(9*time.Minute + 30*time.Second).Seconds() {
-		t.Fatalf("fresh item score = %g", s)
+	if k := p.Key(it); k != int64(30*time.Second-10*time.Minute) {
+		t.Fatalf("key = %d, want service − deadline", k)
 	}
-	// Zero time-to-deadline net of service: score crosses exactly 0.
-	if s := p.Score(it, 9*time.Minute+30*time.Second); s != 0 {
-		t.Fatalf("zero-slack score = %g, want 0", s)
-	}
-	// Already late: negative slack, positive score, still rising.
-	late := p.Score(it, 11*time.Minute)
-	if late <= 0 {
-		t.Fatalf("late item score = %g, want > 0", late)
-	}
-	if later := p.Score(it, 12*time.Minute); later <= late {
-		t.Fatalf("urgency stopped rising after the deadline: %g then %g", late, later)
+	for _, now := range []time.Duration{0, 9*time.Minute + 30*time.Second, 12 * time.Minute} {
+		slack := it.Deadline - now - it.ExpectedQPU
+		if p.Key(it)+int64(now) != -int64(slack) {
+			t.Fatalf("at now=%s key+now = %d, want −slack %d", now, p.Key(it)+int64(now), -int64(slack))
+		}
 	}
 	// Equal deadlines, heterogeneous service: the longer job is more urgent.
 	long := &sched.Item{Class: sched.ClassProduction, ExpectedQPU: 5 * time.Minute, Deadline: 10 * time.Minute}
-	if p.Score(long, time.Minute) <= p.Score(it, time.Minute) {
-		t.Fatal("longer-service job not scored more urgent at equal deadline")
+	if p.Key(long) <= p.Key(it) {
+		t.Fatal("longer-service job not keyed more urgent at equal deadline")
+	}
+	// A job already past its deadline outranks one that still has slack.
+	overdue := &sched.Item{Class: sched.ClassProduction, Enqueued: time.Hour, ExpectedQPU: 30 * time.Second, Deadline: time.Minute}
+	if p.Key(overdue) <= p.Key(it) {
+		t.Fatal("overdue job not keyed more urgent")
 	}
 }
 
@@ -105,15 +96,15 @@ func TestDeadlineFallbackResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Production contract: 2m base + 2× service. Enqueued at 1h with 30s
-	// service ⇒ deadline 1h + 2m + 60s, slack at now=1h is 2m+60s−30s.
+	// service ⇒ deadline 1h + 2m + 60s.
 	it := &sched.Item{Class: sched.ClassProduction, Enqueued: time.Hour, ExpectedQPU: 30 * time.Second}
-	want := -(2*time.Minute + 60*time.Second - 30*time.Second).Seconds()
-	if s := p.Score(it, time.Hour); s != want {
-		t.Fatalf("fallback slack score = %g, want %g", s, want)
+	want := int64(30*time.Second - (time.Hour + 2*time.Minute + 60*time.Second))
+	if k := p.Key(it); k != want {
+		t.Fatalf("fallback key = %d, want %d", k, want)
 	}
 	// An explicit deadline beats the contract.
 	pinned := &sched.Item{Class: sched.ClassProduction, Enqueued: time.Hour, ExpectedQPU: 30 * time.Second, Deadline: time.Hour + time.Minute}
-	if p.Score(pinned, time.Hour) <= p.Score(it, time.Hour) {
+	if p.Key(pinned) <= p.Key(it) {
 		t.Fatal("explicit tighter deadline not more urgent than the class fallback")
 	}
 	// dev=0 removes the dev fallback: dev items without explicit deadlines
@@ -123,14 +114,13 @@ func TestDeadlineFallbackResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := &sched.Item{Class: sched.ClassDev, Enqueued: time.Hour, ExpectedQPU: 30 * time.Second}
-	if s := stripped.Score(dev, 2*time.Hour); s != noDeadlineScore {
-		t.Fatalf("contract-less dev item score = %g, want the no-deadline sentinel", s)
+	if k := stripped.Key(dev); k != math.MinInt64 {
+		t.Fatalf("contract-less dev item key = %d, want the no-deadline sentinel", k)
 	}
 }
 
 // TestEDFOrdering: EDF ranks purely by absolute deadline — earlier beats
-// later, service time is irrelevant, and lateness does not change relative
-// order (scores are constant in now).
+// later, and service time is irrelevant.
 func TestEDFOrdering(t *testing.T) {
 	p, err := NewPriority("edf")
 	if err != nil {
@@ -138,13 +128,11 @@ func TestEDFOrdering(t *testing.T) {
 	}
 	early := &sched.Item{Class: sched.ClassProduction, Deadline: 5 * time.Minute, ExpectedQPU: time.Hour}
 	late := &sched.Item{Class: sched.ClassProduction, Deadline: 6 * time.Minute, ExpectedQPU: time.Second}
-	for _, now := range []time.Duration{0, 10 * time.Minute, 24 * time.Hour} {
-		if p.Score(early, now) <= p.Score(late, now) {
-			t.Fatalf("at now=%s EDF does not prefer the earlier deadline", now)
-		}
+	if p.Key(early) <= p.Key(late) {
+		t.Fatal("EDF does not prefer the earlier deadline")
 	}
-	if p.Score(early, 0) != p.Score(early, 24*time.Hour) {
-		t.Fatal("EDF score varies with now")
+	if p.Key(early) != -int64(5*time.Minute) {
+		t.Fatalf("EDF key = %d, want −deadline", p.Key(early))
 	}
 }
 
@@ -160,8 +148,8 @@ func TestNewPriorityParameters(t *testing.T) {
 	}
 	// Flat 120s allowance for every class, replacing the service factor.
 	it := &sched.Item{Class: sched.ClassDev, Enqueued: 0, ExpectedQPU: 10 * time.Second}
-	if s := p.Score(it, 0); s != -110 {
-		t.Fatalf("flat-deadline slack = %g, want -110", s)
+	if k := p.Key(it); k != -int64(110*time.Second) {
+		t.Fatalf("flat-deadline key = %d, want −110s", k)
 	}
 
 	perClass, err := NewPriority("edf:production=90s:dev=1h")
@@ -169,14 +157,14 @@ func TestNewPriorityParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 	prod := &sched.Item{Class: sched.ClassProduction, Enqueued: 0}
-	if s := perClass.Score(prod, 0); s != -90 {
-		t.Fatalf("production=90s EDF score = %g, want -90", s)
+	if k := perClass.Key(prod); k != -int64(90*time.Second) {
+		t.Fatalf("production=90s EDF key = %d, want −90s", k)
 	}
 	// The untouched test-class contract still applies its service factor.
 	testItem := &sched.Item{Class: sched.ClassTest, Enqueued: 0, ExpectedQPU: time.Minute}
 	spec := workload.DefaultDeadlines()[sched.ClassTest]
-	if s := perClass.Score(testItem, 0); s != -spec.Offset(time.Minute).Seconds() {
-		t.Fatalf("test-class contract perturbed by unrelated parameter: %g", s)
+	if k := perClass.Key(testItem); k != -int64(spec.Offset(time.Minute)) {
+		t.Fatalf("test-class contract perturbed by unrelated parameter: %d", k)
 	}
 
 	for _, bad := range []string{

@@ -34,15 +34,19 @@ func RunFairShare(seed int64) ([]FairShareRow, *Table, error) {
 		casShots   = 60
 	)
 
-	run := func(setup string, fairShare bool) (*FairShareRow, error) {
+	run := func(setup, scheduler string) (*FairShareRow, error) {
 		clk := simclock.New()
 		dev, err := device.New(device.Config{Clock: clk, Seed: seed, DriftInterval: time.Hour})
 		if err != nil {
 			return nil, err
 		}
+		order, err := daemon.NewOrder(scheduler)
+		if err != nil {
+			return nil, err
+		}
 		dmn, err := daemon.NewDaemon(daemon.Config{
 			Device: dev, Clock: clk, AdminToken: "admin",
-			EnablePreemption: true, FairShare: fairShare, Seed: seed,
+			EnablePreemption: true, Order: order, Seed: seed,
 		})
 		if err != nil {
 			return nil, err
@@ -116,11 +120,11 @@ func RunFairShare(seed int64) ([]FairShareRow, *Table, error) {
 		return row, nil
 	}
 
-	fifo, err := run("fifo-within-class", false)
+	fifo, err := run("fifo-within-class", "fifo")
 	if err != nil {
 		return nil, nil, err
 	}
-	fair, err := run("least-served-first", true)
+	fair, err := run("least-served-first", "fair-share")
 	if err != nil {
 		return nil, nil, err
 	}

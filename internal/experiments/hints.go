@@ -34,15 +34,19 @@ func RunDurationHints(seed int64) ([]HintsRow, *Table, error) {
 	const prodShots = 30
 	prodArrival := 100 * time.Second
 
-	run := func(setup string, shortestFirst bool) (*HintsRow, error) {
+	run := func(setup, scheduler string) (*HintsRow, error) {
 		clk := simclock.New()
 		dev, err := device.New(device.Config{Clock: clk, Seed: seed, DriftInterval: time.Hour})
 		if err != nil {
 			return nil, err
 		}
+		order, err := daemon.NewOrder(scheduler)
+		if err != nil {
+			return nil, err
+		}
 		dmn, err := daemon.NewDaemon(daemon.Config{
 			Device: dev, Clock: clk, AdminToken: "admin",
-			EnablePreemption: true, ShortestFirst: shortestFirst, Seed: seed,
+			EnablePreemption: true, Order: order, Seed: seed,
 		})
 		if err != nil {
 			return nil, err
@@ -125,11 +129,11 @@ func RunDurationHints(seed int64) ([]HintsRow, *Table, error) {
 		return row, nil
 	}
 
-	fifo, err := run("fifo-within-class", false)
+	fifo, err := run("fifo-within-class", "fifo")
 	if err != nil {
 		return nil, nil, err
 	}
-	sjf, err := run("shortest-expected-first", true)
+	sjf, err := run("shortest-expected-first", "shortest-first")
 	if err != nil {
 		return nil, nil, err
 	}

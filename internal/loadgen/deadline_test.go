@@ -167,7 +167,7 @@ func TestSweepDeadlineDominance24h(t *testing.T) {
 // TestDeadlineUnsaturatedNegativeControl is the dominance experiment's
 // control arm, mirroring the refuted-H2 lesson that a policy effect must
 // vanish when its mechanism has nothing to act on: at 15 jobs/hour the queue
-// is almost always empty, so re-scoring it cannot move outcomes, and every
+// is almost always empty, so ranking it cannot move outcomes, and every
 // priority policy must produce statistically indistinguishable reports —
 // identical completion counts and shed rates, equal production
 // deadline-hit-rates, and a Mann–Whitney p̂ at the 0.5 no-effect point

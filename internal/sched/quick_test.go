@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,7 +15,7 @@ import (
 // (class desc, FIFO within class) order.
 func TestQueuePopOrderProperty(t *testing.T) {
 	f := func(classes []uint8) bool {
-		q := NewClassQueue()
+		q := NewClassQueue(OrderFIFO, nil)
 		seq := make(map[Class][]string)
 		for i, c := range classes {
 			class := Class(int(c) % 3)
@@ -42,21 +43,21 @@ func TestQueuePopOrderProperty(t *testing.T) {
 // TestQueueLenInvariantProperty: Len equals pushes minus pops minus removes.
 func TestQueueLenInvariantProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q := NewClassQueue()
+		q := NewClassQueue(OrderFIFO, nil)
 		expected := 0
-		pushed := 0
-		for _, op := range ops {
+		var last *Item
+		for i, op := range ops {
 			switch op % 3 {
 			case 0:
-				pushed++
-				q.Push(&Item{ID: fmt.Sprintf("i%d", pushed), Class: Class(int(op) % 3)})
+				last = &Item{ID: fmt.Sprintf("i%d", i), Class: Class(int(op) % 3)}
+				q.Push(last)
 				expected++
 			case 1:
 				if q.Pop() != nil {
 					expected--
 				}
 			case 2:
-				if q.Remove(fmt.Sprintf("i%d", pushed)) {
+				if q.Remove(last) {
 					expected--
 				}
 			}
@@ -69,6 +70,250 @@ func TestQueueLenInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// linearQueue is the reference the keyed queue is checked against: the
+// slice-per-class queue whose pops scanned the whole class — Pop for the
+// fifo order, PopBy under an order comparator, PopByScore re-scoring every
+// item at the pop's sim time — that ClassQueue replaced.
+type linearQueue struct{ queues [3][]*Item }
+
+func (q *linearQueue) push(it *Item) { q.queues[it.Class] = append(q.queues[it.Class], it) }
+
+func (q *linearQueue) take(c Class, i int) *Item {
+	it := q.queues[c][i]
+	q.queues[c] = append(q.queues[c][:i], q.queues[c][i+1:]...)
+	return it
+}
+
+// popByScore removes the maximum-score item of the highest non-empty class;
+// equal scores fall to tie, then to the earlier-pushed item. A nil score is
+// the order's own pop: the minimum under tie, or the head when tie is nil.
+func (q *linearQueue) popByScore(score func(*Item) float64, tie func(a, b *Item) bool) *Item {
+	for c := ClassProduction; c >= ClassDev; c-- {
+		items := q.queues[c]
+		if len(items) == 0 {
+			continue
+		}
+		best := 0
+		for i := 1; i < len(items); i++ {
+			var s, bs float64
+			if score != nil {
+				s, bs = score(items[i]), score(items[best])
+			}
+			if s > bs || (s == bs && tie != nil && tie(items[i], items[best])) {
+				best = i
+			}
+		}
+		return q.take(c, best)
+	}
+	return nil
+}
+
+func (q *linearQueue) remove(it *Item) bool {
+	for i, x := range q.queues[it.Class] {
+		if x == it {
+			q.take(it.Class, i)
+			return true
+		}
+	}
+	return false
+}
+
+// loads recomputes ClassLoads by a full scan.
+func (q *linearQueue) loads() (counts [3]int, oldest [3]time.Duration, has [3]bool, qpu [3]time.Duration) {
+	for c, items := range q.queues {
+		counts[c] = len(items)
+		for _, it := range items {
+			if !has[c] || it.Enqueued < oldest[c] {
+				oldest[c] = it.Enqueued
+			}
+			has[c] = true
+			qpu[c] += it.ExpectedQPU
+		}
+	}
+	return counts, oldest, has, qpu
+}
+
+// refPriority is one priority in both forms: the static Key the keyed queue
+// ranks by, and the float64-seconds score the linear reference re-computed
+// at every pop (nil for constant). An item's deadline of 0 means none.
+type refPriority struct {
+	name  string
+	key   func(it *Item) int64
+	score func(it *Item, now time.Duration) float64
+}
+
+var refPriorities = []refPriority{
+	{"constant", func(*Item) int64 { return 0 }, nil},
+	{"age",
+		func(it *Item) int64 { return -int64(it.Enqueued) },
+		func(it *Item, now time.Duration) float64 { return (now - it.Enqueued).Seconds() }},
+	{"edf",
+		func(it *Item) int64 {
+			if it.Deadline <= 0 {
+				return math.MinInt64
+			}
+			return -int64(it.Deadline)
+		},
+		func(it *Item, now time.Duration) float64 {
+			if it.Deadline <= 0 {
+				return -math.MaxFloat64
+			}
+			return -it.Deadline.Seconds()
+		}},
+	{"slo-urgency",
+		func(it *Item) int64 {
+			if it.Deadline <= 0 {
+				return math.MinInt64
+			}
+			return int64(it.ExpectedQPU - it.Deadline)
+		},
+		func(it *Item, now time.Duration) float64 {
+			if it.Deadline <= 0 {
+				return -math.MaxFloat64
+			}
+			return -(it.Deadline - now - it.ExpectedQPU).Seconds()
+		}},
+}
+
+// refOrder is one order in both forms: the keyed queue's Order under the
+// constant and under any other priority, and the reference's comparator
+// (nil: plain FIFO head under the constant priority, Enqueued under a score).
+type refOrder struct {
+	name            string
+	constant, keyed Order
+	less            func(usage *Usage) func(a, b *Item) bool
+}
+
+func seniorityLess(a, b *Item) bool { return a.Enqueued < b.Enqueued }
+
+var refOrders = []refOrder{
+	{"fifo", OrderFIFO, OrderSeniority, nil},
+	{"fair-share", OrderFairShare, OrderFairShare, func(u *Usage) func(a, b *Item) bool {
+		return func(a, b *Item) bool {
+			if ua, ub := u.of(a.User), u.of(b.User); ua != ub {
+				return ua < ub
+			}
+			return a.Enqueued < b.Enqueued
+		}
+	}},
+	{"shortest-first", OrderShortestFirst, OrderShortestFirst, func(*Usage) func(a, b *Item) bool {
+		return func(a, b *Item) bool {
+			ae, be := a.ExpectedQPU, b.ExpectedQPU
+			if ae <= 0 {
+				ae = math.MaxInt64
+			}
+			if be <= 0 {
+				be = math.MaxInt64
+			}
+			if ae != be {
+				return ae < be
+			}
+			return a.Enqueued < b.Enqueued
+		}
+	}},
+}
+
+// TestKeyedQueueMatchesLinearScan is the differential property test: for
+// every order × priority pair, a random mix of pushes (fresh arrivals and
+// requeues that keep an old Enqueued), pops, removals, usage charges and
+// clock advances must pop the same items from the keyed queue as from the
+// linear reference, and leave identical ClassLoads after every step. Small
+// value ranges make equal keys, equal Enqueued and zero ExpectedQPU common.
+func TestKeyedQueueMatchesLinearScan(t *testing.T) {
+	for _, ord := range refOrders {
+		for _, pri := range refPriorities {
+			t.Run(ord.name+"/"+pri.name, func(t *testing.T) {
+				f := func(seed int64) bool {
+					return keyedMatchesLinear(t, rand.New(rand.NewSource(seed)), ord, pri)
+				}
+				if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+func keyedMatchesLinear(t *testing.T, rng *rand.Rand, ord refOrder, pri refPriority) bool {
+	usage := NewUsage()
+	order := ord.keyed
+	if pri.score == nil {
+		order = ord.constant
+	}
+	q := NewClassQueue(order, usage)
+	ref := &linearQueue{}
+	var tie func(a, b *Item) bool
+	switch {
+	case ord.less != nil:
+		tie = ord.less(usage)
+	case pri.score != nil:
+		tie = seniorityLess
+	}
+	var now time.Duration
+	var queued []*Item
+	users := []string{"u0", "u1", "u2", "u3"}
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // push: a fresh arrival, or a requeue keeping an old Enqueued
+			it := &Item{
+				ID:          fmt.Sprintf("i%d", step),
+				Class:       Class(rng.Intn(3)),
+				User:        users[rng.Intn(len(users))],
+				Enqueued:    now,
+				ExpectedQPU: time.Duration(rng.Intn(3)) * time.Second,
+			}
+			if rng.Intn(4) == 0 {
+				it.Enqueued = now - time.Duration(rng.Intn(20))*time.Second
+			}
+			if d := rng.Intn(3); d > 0 {
+				it.Deadline = it.Enqueued + time.Duration(d)*10*time.Second
+			}
+			it.Key = pri.key(it)
+			if err := q.Push(it); err != nil {
+				t.Errorf("push: %v", err)
+				return false
+			}
+			ref.push(it)
+			queued = append(queued, it)
+		case op < 7:
+			var score func(*Item) float64
+			if pri.score != nil {
+				at := now
+				score = func(it *Item) float64 { return pri.score(it, at) }
+			}
+			want, peek, got := ref.popByScore(score, tie), q.Peek(), q.Pop()
+			if got != want || peek != want {
+				t.Errorf("step %d: keyed popped %v (peeked %v), reference %v", step, id(got), id(peek), id(want))
+				return false
+			}
+		case op < 8 && len(queued) > 0:
+			it := queued[rng.Intn(len(queued))]
+			if got, want := q.Remove(it), ref.remove(it); got != want {
+				t.Errorf("step %d: Remove(%s) = %v, reference %v", step, it.ID, got, want)
+				return false
+			}
+		case op < 9:
+			usage.Add(users[rng.Intn(len(users))], float64(rng.Intn(3)))
+		default:
+			now += time.Duration(rng.Intn(5)) * time.Second
+		}
+		c1, o1, h1, p1 := q.ClassLoads()
+		c2, o2, h2, p2 := ref.loads()
+		if c1 != c2 || o1 != o2 || h1 != h2 || p1 != p2 || q.Len() != c2[0]+c2[1]+c2[2] {
+			t.Errorf("step %d: ClassLoads %v %v %v %v, reference %v %v %v %v", step, c1, o1, h1, p1, c2, o2, h2, p2)
+			return false
+		}
+	}
+	return true
+}
+
+func id(it *Item) string {
+	if it == nil {
+		return "<nil>"
+	}
+	return it.ID
 }
 
 // TestOrchestratorConservationProperty: for any random batch under any

@@ -3,11 +3,11 @@
 // classes with production preemption, and workload-pattern-aware interleaving
 // of hybrid jobs so the QPU does not idle while a job's classical phase runs.
 //
-// The package has two layers. ClassQueue is the pure priority-queue policy
-// shared with the daemon. Orchestrator is a discrete-event executor for
-// hybrid jobs (alternating quantum and classical segments) under selectable
-// policies; it produces the utilization and wait-time numbers behind the
-// Table 1 reproduction.
+// The package has two layers. ClassQueue (classqueue.go) is the keyed
+// priority queue shared with the daemon. Orchestrator is a discrete-event
+// executor for hybrid jobs (alternating quantum and classical segments) under
+// selectable policies; it produces the utilization and wait-time numbers
+// behind the Table 1 reproduction.
 package sched
 
 import (
@@ -83,328 +83,6 @@ func ParsePattern(s string) (Pattern, error) {
 	default:
 		return "", fmt.Errorf("sched: unknown workload hint %q", s)
 	}
-}
-
-// Item is a queued unit of work for the ClassQueue.
-type Item struct {
-	ID       string
-	Class    Class
-	Pattern  Pattern
-	Enqueued time.Duration
-	// ExpectedQPU is the declared or estimated time the item will hold the
-	// QPU — the "expected time running on the QC hardware" hint the paper
-	// proposes for planning interleaving (§3.5). Zero means unknown.
-	ExpectedQPU time.Duration
-	// Deadline is the absolute sim time by which the item should finish
-	// (submission time plus the job's relative deadline). Zero means the
-	// item carries no deadline; urgency-aware priority policies fall back
-	// to per-class defaults.
-	Deadline time.Duration
-	// Payload is opaque to the queue (the daemon stores its job record).
-	Payload any
-
-	// removed marks an item taken out of its queue (Pop/PopBy/Remove). The
-	// per-class oldest-heap keeps stale pointers until they surface at the
-	// head, so ClassLoads can skip them lazily instead of the queue paying
-	// an O(backlog) re-scan per bulk read. Items must not be re-Pushed after
-	// leaving a queue; the daemon allocates a fresh Item per (re)queue.
-	removed bool
-}
-
-// ShortestExpectedFirst is a PopBy comparator implementing the paper's
-// duration-hint scheduling: within a class, the item expected to hold the
-// QPU for the shortest time runs first, which minimizes mean wait for the
-// same total work. Items without a hint (zero) sort last; ties fall back to
-// FIFO. Class priority is enforced by PopBy itself, so production work is
-// never delayed by this ordering.
-func ShortestExpectedFirst(a, b *Item) bool {
-	ae, be := a.ExpectedQPU, b.ExpectedQPU
-	if ae <= 0 {
-		ae = 1<<63 - 1
-	}
-	if be <= 0 {
-		be = 1<<63 - 1
-	}
-	if ae != be {
-		return ae < be
-	}
-	return a.Enqueued < b.Enqueued
-}
-
-// ClassQueue is a three-class priority queue with FIFO order within a class.
-type ClassQueue struct {
-	mu     sync.Mutex
-	queues [3][]*Item
-	// oldest is a per-class lazy min-heap over Enqueued. Push adds to it;
-	// removals only flag the item (see Item.removed), and ClassLoads drains
-	// flagged heads on read. This makes the admission stage's bulk load view
-	// O(classes) amortized instead of O(backlog) per submission.
-	oldest [3][]*Item
-	// qpu is the per-class running sum of queued ExpectedQPU, maintained
-	// incrementally on push/pop/remove so the queue-drain estimate behind
-	// Retry-After hints stays an O(1) read instead of an O(backlog) scan.
-	qpu [3]time.Duration
-}
-
-// NewClassQueue returns an empty queue.
-func NewClassQueue() *ClassQueue { return &ClassQueue{} }
-
-// Push enqueues an item.
-func (q *ClassQueue) Push(it *Item) error {
-	if it == nil || it.ID == "" {
-		return errors.New("sched: queue item needs an ID")
-	}
-	if it.Class < ClassDev || it.Class > ClassProduction {
-		return fmt.Errorf("sched: invalid class %d", it.Class)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	it.removed = false
-	q.queues[it.Class] = append(q.queues[it.Class], it)
-	q.qpu[it.Class] += it.ExpectedQPU
-	heapPushOldest(&q.oldest[it.Class], it)
-	return nil
-}
-
-// heapPushOldest sifts an item into a min-heap ordered by Enqueued.
-func heapPushOldest(h *[]*Item, it *Item) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].Enqueued <= (*h)[i].Enqueued {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-// heapPopOldest removes the head of an Enqueued min-heap.
-func heapPopOldest(h *[]*Item) {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = nil
-	old = old[:n]
-	*h = old
-	i := 0
-	for {
-		small := i
-		if l := 2*i + 1; l < n && old[l].Enqueued < old[small].Enqueued {
-			small = l
-		}
-		if r := 2*i + 2; r < n && old[r].Enqueued < old[small].Enqueued {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		old[i], old[small] = old[small], old[i]
-		i = small
-	}
-}
-
-// Pop removes and returns the highest-priority item, or nil when empty.
-func (q *ClassQueue) Pop() *Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for c := ClassProduction; c >= ClassDev; c-- {
-		if len(q.queues[c]) > 0 {
-			it := q.queues[c][0]
-			q.queues[c] = q.queues[c][1:]
-			q.qpu[c] -= it.ExpectedQPU
-			it.removed = true
-			return it
-		}
-	}
-	return nil
-}
-
-// PopBy removes and returns an item from the highest non-empty class,
-// choosing the minimum under less (stable: the earlier-queued item wins
-// ties). It enables fair-share ordering within a class — the "fairer
-// resource sharing" the paper lists as future scheduler work (§4) — without
-// ever violating class priority.
-func (q *ClassQueue) PopBy(less func(a, b *Item) bool) *Item {
-	if less == nil {
-		return q.Pop()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for c := ClassProduction; c >= ClassDev; c-- {
-		items := q.queues[c]
-		if len(items) == 0 {
-			continue
-		}
-		best := 0
-		for i := 1; i < len(items); i++ {
-			if less(items[i], items[best]) {
-				best = i
-			}
-		}
-		it := items[best]
-		q.queues[c] = append(items[:best], items[best+1:]...)
-		q.qpu[c] -= it.ExpectedQPU
-		it.removed = true
-		return it
-	}
-	return nil
-}
-
-// PopByScore removes and returns the maximum-score item from the highest
-// non-empty class — the priority-axis pop: score orders items within a
-// class, ties fall to the order policy's comparator (tie, nil or equal
-// again: the earlier-queued index wins, so equal-score pops degrade to
-// exactly the FIFO order Pop would give). Score is called once per queued
-// item of the winning class under the queue lock, so it must be fast and
-// must not call back into the queue. Like Pop/PopBy it only flags the item
-// for the lazy oldest-heaps, preserving the O(classes) ClassLoads bound.
-func (q *ClassQueue) PopByScore(score func(it *Item) float64, tie func(a, b *Item) bool) *Item {
-	if score == nil {
-		return q.PopBy(tie)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for c := ClassProduction; c >= ClassDev; c-- {
-		items := q.queues[c]
-		if len(items) == 0 {
-			continue
-		}
-		best, bestScore := 0, score(items[0])
-		for i := 1; i < len(items); i++ {
-			s := score(items[i])
-			if s > bestScore || (s == bestScore && tie != nil && tie(items[i], items[best])) {
-				best, bestScore = i, s
-			}
-		}
-		it := items[best]
-		q.queues[c] = append(items[:best], items[best+1:]...)
-		q.qpu[c] -= it.ExpectedQPU
-		it.removed = true
-		return it
-	}
-	return nil
-}
-
-// Peek returns the next item without removing it.
-func (q *ClassQueue) Peek() *Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for c := ClassProduction; c >= ClassDev; c-- {
-		if len(q.queues[c]) > 0 {
-			return q.queues[c][0]
-		}
-	}
-	return nil
-}
-
-// Remove deletes an item by ID, reporting whether it was present.
-func (q *ClassQueue) Remove(id string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for c := range q.queues {
-		for i, it := range q.queues[c] {
-			if it.ID == id {
-				q.queues[c] = append(q.queues[c][:i], q.queues[c][i+1:]...)
-				q.qpu[c] -= it.ExpectedQPU
-				it.removed = true
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Len returns the total queued count.
-func (q *ClassQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for c := range q.queues {
-		n += len(q.queues[c])
-	}
-	return n
-}
-
-// ClassLoads snapshots every class's queued count, earliest Enqueued time
-// and summed queued ExpectedQPU under a single lock acquisition — the bulk
-// read behind the admission stage's fleet load view. has[c] reports whether
-// class c has any backlog (oldest[c] is meaningful only then). Counts and
-// QPU sums are O(1) reads (the sums are maintained incrementally on push and
-// pop); the earliest Enqueued comes from the per-class lazy min-heap, so the
-// cost per call is O(classes) plus amortized O(log n) per item ever removed —
-// not the O(backlog) full scan this used to be (which made every admission
-// decision linear in total queued work).
-func (q *ClassQueue) ClassLoads() (counts [ClassProduction + 1]int, oldest [ClassProduction + 1]time.Duration, has [ClassProduction + 1]bool, qpu [ClassProduction + 1]time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for c := ClassDev; c <= ClassProduction; c++ {
-		counts[c] = len(q.queues[c])
-		qpu[c] = q.qpu[c]
-		h := &q.oldest[c]
-		// Drain removed items that have surfaced at the heap head. Stale
-		// entries deeper in the heap are left for later reads; if middle
-		// removals (PopBy orders) ever let them pile up well past the live
-		// backlog, rebuild the heap from the live queue in one O(n) pass.
-		for len(*h) > 0 && (*h)[0].removed {
-			heapPopOldest(h)
-		}
-		if len(*h) > 4*len(q.queues[c])+64 {
-			rebuilt := append((*h)[:0:0], q.queues[c]...)
-			for i := len(rebuilt)/2 - 1; i >= 0; i-- {
-				siftDownOldest(rebuilt, i)
-			}
-			*h = rebuilt
-		}
-		if len(*h) > 0 {
-			has[c] = true
-			oldest[c] = (*h)[0].Enqueued
-		}
-	}
-	return counts, oldest, has, qpu
-}
-
-// siftDownOldest restores the min-heap property below index i.
-func siftDownOldest(h []*Item, i int) {
-	n := len(h)
-	for {
-		small := i
-		if l := 2*i + 1; l < n && h[l].Enqueued < h[small].Enqueued {
-			small = l
-		}
-		if r := 2*i + 2; r < n && h[r].Enqueued < h[small].Enqueued {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-// LenClass returns the queued count for one class.
-func (q *ClassQueue) LenClass(c Class) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if c < ClassDev || c > ClassProduction {
-		return 0
-	}
-	return len(q.queues[c])
-}
-
-// Snapshot lists queued IDs in pop order.
-func (q *ClassQueue) Snapshot() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []string
-	for c := ClassProduction; c >= ClassDev; c-- {
-		for _, it := range q.queues[c] {
-			out = append(out, it.ID)
-		}
-	}
-	return out
 }
 
 // ShouldPreempt reports whether an arriving item justifies preempting the

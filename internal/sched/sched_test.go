@@ -9,19 +9,12 @@ import (
 )
 
 func TestClassQueueOrdering(t *testing.T) {
-	q := NewClassQueue()
+	q := NewClassQueue(OrderFIFO, nil)
 	q.Push(&Item{ID: "dev1", Class: ClassDev})
 	q.Push(&Item{ID: "prod1", Class: ClassProduction})
 	q.Push(&Item{ID: "test1", Class: ClassTest})
 	q.Push(&Item{ID: "prod2", Class: ClassProduction})
-	want := []string{"prod1", "prod2", "test1", "dev1"}
-	got := q.Snapshot()
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("snapshot = %v, want %v", got, want)
-		}
-	}
-	for _, w := range want {
+	for _, w := range []string{"prod1", "prod2", "test1", "dev1"} {
 		if it := q.Pop(); it.ID != w {
 			t.Fatalf("pop = %s, want %s", it.ID, w)
 		}
@@ -32,28 +25,26 @@ func TestClassQueueOrdering(t *testing.T) {
 }
 
 func TestClassQueuePeekRemoveLen(t *testing.T) {
-	q := NewClassQueue()
-	q.Push(&Item{ID: "a", Class: ClassDev})
+	q := NewClassQueue(OrderFIFO, nil)
+	a := &Item{ID: "a", Class: ClassDev}
+	q.Push(a)
 	q.Push(&Item{ID: "b", Class: ClassTest})
 	if q.Peek().ID != "b" || q.Len() != 2 {
 		t.Fatalf("peek/len wrong")
 	}
-	if !q.Remove("a") {
+	if !q.Remove(a) {
 		t.Fatal("remove failed")
 	}
-	if q.Remove("a") {
+	if q.Remove(a) {
 		t.Fatal("double remove succeeded")
 	}
-	if q.Len() != 1 || q.LenClass(ClassTest) != 1 || q.LenClass(ClassDev) != 0 {
+	if counts, _, _, _ := q.ClassLoads(); q.Len() != 1 || counts[ClassTest] != 1 || counts[ClassDev] != 0 {
 		t.Fatal("len after remove")
-	}
-	if q.LenClass(Class(9)) != 0 {
-		t.Fatal("invalid class len")
 	}
 }
 
 func TestClassQueueValidation(t *testing.T) {
-	q := NewClassQueue()
+	q := NewClassQueue(OrderFIFO, nil)
 	if err := q.Push(nil); err == nil {
 		t.Fatal("nil item accepted")
 	}
@@ -392,48 +383,51 @@ func TestPolicyAndClassStrings(t *testing.T) {
 }
 
 func TestPopByFairSelection(t *testing.T) {
-	q := NewClassQueue()
-	usage := map[string]float64{"alice": 100, "bob": 5}
-	q.Push(&Item{ID: "a1", Class: ClassDev, Enqueued: 1, Payload: "alice"})
-	q.Push(&Item{ID: "b1", Class: ClassDev, Enqueued: 2, Payload: "bob"})
-	less := func(x, y *Item) bool {
-		ux, uy := usage[x.Payload.(string)], usage[y.Payload.(string)]
-		if ux != uy {
-			return ux < uy
-		}
-		return x.Enqueued < y.Enqueued
-	}
+	usage := NewUsage()
+	usage.Add("alice", 100)
+	usage.Add("bob", 5)
+	q := NewClassQueue(OrderFairShare, usage)
+	q.Push(&Item{ID: "a1", Class: ClassDev, Enqueued: 1, User: "alice"})
+	q.Push(&Item{ID: "b1", Class: ClassDev, Enqueued: 2, User: "bob"})
 	// Bob has less usage: his job pops first despite arriving later.
-	if it := q.PopBy(less); it.ID != "b1" {
+	if it := q.Pop(); it.ID != "b1" {
 		t.Fatalf("popped %s, want b1", it.ID)
 	}
 	// Class priority still dominates fairness: a production job from the
 	// heavy user beats a dev job from the light user.
-	q.Push(&Item{ID: "a2", Class: ClassProduction, Enqueued: 3, Payload: "alice"})
-	q.Push(&Item{ID: "b2", Class: ClassDev, Enqueued: 4, Payload: "bob"})
-	if it := q.PopBy(less); it.ID != "a2" {
+	q.Push(&Item{ID: "a2", Class: ClassProduction, Enqueued: 3, User: "alice"})
+	q.Push(&Item{ID: "b2", Class: ClassDev, Enqueued: 4, User: "bob"})
+	if it := q.Pop(); it.ID != "a2" {
 		t.Fatalf("popped %s, want a2 (class beats fairness)", it.ID)
 	}
-	// Nil comparator falls back to plain Pop.
-	if it := q.PopBy(nil); it.ID != "a1" {
-		t.Fatalf("popped %s, want a1", it.ID)
+	// Usage charged while the jobs wait re-ranks the users: bob overtakes
+	// alice, so her older job now pops first.
+	usage.Add("bob", 200)
+	if it := q.Pop(); it.ID != "a1" {
+		t.Fatalf("popped %s, want a1 after bob's charge", it.ID)
 	}
-	if q.PopBy(less).ID != "b2" {
+	if q.Pop().ID != "b2" {
 		t.Fatal("remaining item wrong")
 	}
-	if q.PopBy(less) != nil {
+	if q.Pop() != nil {
 		t.Fatal("empty queue returned an item")
+	}
+	if got := usage.of("bob"); got != 205 {
+		t.Fatalf("ledger bob = %g, want 205", got)
+	}
+	usage.Add("bob", -1)
+	if got := usage.of("bob"); got != 205 {
+		t.Fatalf("negative charge changed the ledger: %g", got)
 	}
 }
 
 func TestPopByStableOnTies(t *testing.T) {
-	q := NewClassQueue()
+	q := NewClassQueue(OrderSeniority, nil)
 	for i := 0; i < 5; i++ {
 		q.Push(&Item{ID: fmt.Sprintf("i%d", i), Class: ClassTest, Enqueued: time.Duration(i)})
 	}
-	less := func(x, y *Item) bool { return x.Enqueued < y.Enqueued }
 	for i := 0; i < 5; i++ {
-		if it := q.PopBy(less); it.ID != fmt.Sprintf("i%d", i) {
+		if it := q.Pop(); it.ID != fmt.Sprintf("i%d", i) {
 			t.Fatalf("tie order broken at %d: %s", i, it.ID)
 		}
 	}
