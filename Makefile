@@ -1,7 +1,8 @@
 # Tier-1 entry points. `make test` is the fast gate (short mode, seconds);
 # `make test-full` runs everything including the ~40s experiment
 # reproductions; `make test-race` puts the race detector on the concurrent
-# fleet/scheduler/device/emulator paths.
+# fleet/scheduler/device/emulator paths and the live QRMI/qcsd/HTTP paths,
+# then repeats the concurrent fleet tests twenty times.
 
 GO ?= go
 
@@ -20,8 +21,9 @@ test-full:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/device/... ./internal/emulator/...
-	$(GO) test -race -short ./internal/loadgen/...
+	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/device/... ./internal/emulator/... ./internal/qrmi/... ./cmd/qcsd/...
+	$(GO) test -race -short ./internal/loadgen/... .
+	$(GO) test -race -count=20 -run 'TestFleetConcurrent' ./internal/daemon
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

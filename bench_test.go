@@ -334,7 +334,7 @@ func BenchmarkDaemonDispatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := daemon.NewDaemon(daemon.Config{Device: dev, Clock: clk, AdminToken: "x", EnablePreemption: true})
+	d, err := daemon.NewDaemon(daemon.Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "x", EnablePreemption: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func testDaemonServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	d, err := daemon.NewDaemon(daemon.Config{
-		Device: dev, Clock: clk, AdminToken: "tok", Registry: reg,
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "tok", Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestQctlJobsShowsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := daemon.NewDaemon(daemon.Config{
-		Device: dev, Clock: clk, AdminToken: "tok",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "tok",
 		Admission: admission.NewTokenBucketWith(map[sched.Class]admission.Quota{
 			sched.ClassDev: {RatePerHour: 0.000001, Burst: 1},
 		}),

@@ -35,14 +35,14 @@
 //     confined to the victim's partition; the waits and slowdowns it
 //     produces feed back into the admission stage.
 //
-// Dispatch is concurrent across partitions — per-device queues, running
-// slots and dispatch loops — so one partition's backlog never serializes the
-// rest. Preempted jobs are re-routed through the router onto idle partitions
-// (cross-partition requeue) unless pinned. QRMI resources acquire against a
-// named partition (qpu_partitions/qpu_partition config keys, or
-// daemon.Client.Partition over HTTP). Per-partition queue depths and
-// utilization surface in the admin StatusReport, the daemon_device_* gauges,
-// and `qctl devices`.
+// Each partition has its own queue, running slot and dispatch loop, so one
+// partition's backlog never blocks the rest; one daemon lock serializes the
+// scheduling decisions themselves. Preempted jobs are re-routed through the
+// router onto idle partitions (cross-partition requeue) unless pinned. QRMI
+// resources acquire against a named partition (qpu_partitions/qpu_partition
+// config keys, or daemon.Client.Partition over HTTP). Per-partition queue
+// depths and utilization surface in the admin StatusReport, the
+// daemon_device_* gauges, and `qctl devices`.
 //
 // # Load generation and policy what-ifs
 //
@@ -61,7 +61,7 @@
 //
 // `make test` is the fast tier-1 gate (short mode); `make test-full` adds
 // the long experiment reproductions, and `make test-race` covers the
-// concurrent fleet paths. The benchmarks in bench_test.go regenerate every
+// concurrent fleet and live QRMI/HTTP paths. The benchmarks in bench_test.go regenerate every
 // table and figure of the paper; BenchmarkFleetDispatch measures job
 // throughput scaling from 1 to 4 partitions and BenchmarkLoadgenSweep the
 // policy-matrix replay hot path (`make bench-json` records both to

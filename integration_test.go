@@ -50,7 +50,7 @@ func TestFullStackSlurmToQPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	dmn, err := daemon.NewDaemon(daemon.Config{
-		Device: dev, Clock: clk, AdminToken: "adm",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "adm",
 		EnablePreemption: true, Registry: reg, TSDB: tsdb,
 	})
 	if err != nil {
@@ -149,7 +149,7 @@ func TestRuntimeAgainstDaemonHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmn, err := daemon.NewDaemon(daemon.Config{Device: dev, Clock: clk, AdminToken: "adm", EnablePreemption: true})
+	dmn, err := daemon.NewDaemon(daemon.Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "adm", EnablePreemption: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDaemonSurvivesMaintenanceMidQueue(t *testing.T) {
 	clk := simclock.New()
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 35})
 	dmn, _ := daemon.NewDaemon(daemon.Config{
-		Device: dev, Clock: clk, AdminToken: "adm",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "adm",
 		AllowedLowLevelOps: []string{"maintenance_on", "maintenance_off"},
 	})
 	sess, _ := dmn.OpenSession("alice")
@@ -382,7 +382,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	clk := simclock.New()
 	reg := telemetry.NewRegistry()
 	dev, _ := device.New(device.Config{Clock: clk, Seed: 39, Registry: reg})
-	dmn, _ := daemon.NewDaemon(daemon.Config{Device: dev, Clock: clk, AdminToken: "adm", Registry: reg})
+	dmn, _ := daemon.NewDaemon(daemon.Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "adm", Registry: reg})
 	sess, _ := dmn.OpenSession("alice")
 	raw, _ := integrationProgram(5).MarshalJSON()
 	dmn.Submit(sess.Token, daemon.SubmitRequest{Program: raw, Class: sched.ClassDev})

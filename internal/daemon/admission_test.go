@@ -316,7 +316,7 @@ func TestRejectedHistoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "admin", Seed: 3,
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin", Seed: 3,
 		Admission:       oneShotBucket(),
 		RejectedHistory: 3,
 	})
@@ -411,7 +411,7 @@ func TestOrderPolicyConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	order, _ := NewOrder("fair-share")
-	d, err := NewDaemon(Config{Device: dev, Clock: clk, Order: order})
+	d, err := NewDaemon(Config{Devices: []*device.Device{dev}, Clock: clk, Order: order})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,15 @@
 // The daemon manages a fleet of QPU partitions rather than a single device.
 // Two composable policy axes govern placement: a Router picks the target
 // partition at submission time ("which instance"), and each partition's
-// sched.ClassQueue orders the work routed to it ("what order"). Dispatch is
-// concurrent across partitions — each partition has its own queue, running
-// slot and dispatch loop, guarded by per-device state — so one partition's
-// backlog never serializes the rest of the fleet.
+// sched.ClassQueue orders the work routed to it ("what order").
+//
+// One mutex, Daemon.mu, guards all daemon state: sessions, jobs, every
+// partition's running slot, routing and admission. Each transition runs in a
+// single hold — a submission from admission through route, push and
+// dispatch; a task completion from settle through the next dispatch; a
+// cancel — so no transition ever observes another half done. The expensive
+// work stays outside the lock: decoding and validation precede admission,
+// and the device emulates a task before it reports the completion.
 package daemon
 
 import (
@@ -122,8 +127,7 @@ type Job struct {
 	Preemptions int           `json:"preemptions"`
 	Error       string        `json:"error,omitempty"`
 
-	payload []byte
-	result  []byte
+	result []byte
 	// res is the completed device result, marshalled lazily: JobResult
 	// renders (and memoizes) the JSON on first read, so replays — where no
 	// one ever fetches results — skip a per-job reflection-based marshal.
@@ -174,7 +178,7 @@ func (d *Daemon) Release() {
 	d.mu.Lock()
 	for id, j := range d.jobs {
 		delete(d.jobs, id)
-		*j = Job{} // drop payload/result references before pooling
+		*j = Job{} // drop result references before pooling
 		jobPool.Put(j)
 	}
 	d.mu.Unlock()
@@ -206,8 +210,8 @@ const (
 	JobEventRejected JobEventType = "rejected"
 )
 
-// JobEvent is one lifecycle transition. Job is a point-in-time snapshot; the
-// payload and result bytes are not included.
+// JobEvent is one lifecycle transition. Job is a point-in-time snapshot; its
+// result bytes are not exposed.
 type JobEvent struct {
 	Type JobEventType
 	// At is the simulation time of the transition.
@@ -218,12 +222,8 @@ type JobEvent struct {
 
 // Config parameterizes the daemon.
 type Config struct {
-	// Device is the managed QPU when running a single-partition node —
-	// shorthand for a one-entry Devices slice. One of Device/Devices is
-	// required.
-	Device *device.Device
-	// Devices is the managed fleet of QPU partitions sharing the clock.
-	// Device IDs must be unique.
+	// Devices is the managed fleet of QPU partitions sharing the clock
+	// (at least one). Device IDs must be unique.
 	Devices []*device.Device
 	// Router picks the target partition per job. Defaults to least-loaded.
 	Router Router
@@ -259,15 +259,15 @@ type Config struct {
 	// operations exposed to integrators (§2.5). Others are rejected.
 	AllowedLowLevelOps []string
 	// JobListener receives job lifecycle events when non-nil — the hook the
-	// loadgen SLO analyzer and trace recorder attach to. The listener may be
-	// invoked while daemon locks are held: it must return quickly and must
+	// loadgen SLO analyzer and trace recorder attach to. The listener runs
+	// under Daemon.mu, in transition order: it must return quickly and must
 	// not call back into the daemon (schedule follow-up work on the clock
 	// instead).
 	JobListener func(JobEvent)
 	// SpanListener receives simulation-time pipeline and occupancy spans when
 	// non-nil — the tracing analogue of JobListener, with the same contract:
-	// it may be invoked under daemon locks, must return quickly, and must not
-	// call back into the daemon. Spans are pure functions of the simulation
+	// it runs under Daemon.mu, must return quickly, and must not call back
+	// into the daemon. Spans are pure functions of the simulation
 	// clock and the scheduling decisions, so attaching a deterministic
 	// listener preserves replay determinism.
 	SpanListener trace.Listener
@@ -308,10 +308,9 @@ type Config struct {
 	Seed int64
 }
 
-// deviceState is one partition's scheduling state. Its mutex guards the
-// running slot, the task→job index, the orphan buffer and the dispatch-loop
-// flags; the queue carries its own lock. Lock order: ds.mu may be taken
-// first and d.mu acquired under it, never the reverse.
+// deviceState is one partition's scheduling state. Its mutable fields (the
+// running slot and the occupancy edge) are guarded by Daemon.mu; the queue
+// and the program cache carry their own leaf locks.
 type deviceState struct {
 	id    string
 	dev   *device.Device
@@ -326,35 +325,14 @@ type deviceState struct {
 	// Pre-bound cache counter series (nil without a registry or cache).
 	gCacheHits, gCacheMisses, gCacheEvictions *telemetry.BoundSeries
 
-	mu      sync.Mutex
+	// running is the job on the partition's device; its DeviceTask is the
+	// task whose completion the device listener settles.
 	running *Job
-	byTask  map[string]*Job
 	// gQueue and gUtil are pre-bound per-device telemetry series (nil when
 	// no registry is configured), so queue-depth emission does not rebuild
 	// label keys per dispatch.
 	gQueue [3]*telemetry.BoundSeries
 	gUtil  *telemetry.BoundSeries
-
-	// inflight counts jobs routed here but not yet visible in the queue
-	// (between route's pick and Submit's queue.Push). route() includes it
-	// in the router's load view — and serializes snapshot+pick+reserve
-	// under routeMu — so a burst of concurrent submissions cannot all act
-	// on the same pre-enqueue snapshot and herd onto one partition.
-	inflight int
-	// orphans buffers terminal task notifications that arrive before the
-	// dispatcher registers the task in byTask — possible when another
-	// goroutine advances the clock between device.Submit returning and the
-	// bookkeeping that follows it. Buffering happens only while submitting
-	// is set (dispatch is serial per device, so at most one submission is
-	// in flight), and startJob drains the whole buffer, so notifications
-	// for tasks the daemon never started cannot accumulate.
-	submitting bool
-	orphans    map[string]device.TaskState
-	// dispatching marks an active dispatch loop; wakeups counts dispatch
-	// requests so a loop that is about to exit notices work that arrived
-	// after its last queue check.
-	dispatching bool
-	wakeups     uint64
 	// occSince is when the partition last flipped between busy and idle —
 	// the open edge of its current occupancy span (tracing only).
 	occSince time.Duration
@@ -369,9 +347,6 @@ type Daemon struct {
 	// priority keys each job as it enters a partition queue.
 	priority PriorityPolicy
 
-	// admitMu serializes admission decisions so stateful policies (token
-	// buckets, SLO windows) see submissions in a single, reproducible order.
-	admitMu  sync.Mutex
 	admitter admission.Policy
 	// admitObserver is the admitter's Observer side, when it has one —
 	// the stage-4 → stage-1 SLO feedback sink.
@@ -385,11 +360,12 @@ type Daemon struct {
 	fleet    []*deviceState
 	byDevice map[string]*deviceState
 
-	// routeMu serializes route()'s snapshot+Pick+reserve so concurrent
-	// submissions cannot all act on the same load view.
-	routeMu sync.Mutex
-
-	// mu guards sessions, jobs and their fields, and the accounting maps.
+	// mu is the daemon's one lock. It guards sessions, jobs and their
+	// fields, the partitions' running slots, the accounting maps, and the
+	// admission and routing decisions (so stateful policies see submissions
+	// in one reproducible order, and a route and its push are atomic).
+	// Everything acquired under it is a leaf lock: queues, usage, program
+	// caches, router scratch, devices, clock, registry, flight recorder.
 	mu       sync.Mutex
 	rng      *rand.Rand
 	sessions map[string]*Session
@@ -488,11 +464,7 @@ func cachedProgram(payload []byte) (*qir.Program, uint64, error) {
 
 // NewDaemon wires the daemon to its device fleet.
 func NewDaemon(cfg Config) (*Daemon, error) {
-	devices := cfg.Devices
-	if len(devices) == 0 && cfg.Device != nil {
-		devices = []*device.Device{cfg.Device}
-	}
-	if len(devices) == 0 || cfg.Clock == nil {
+	if len(cfg.Devices) == 0 || cfg.Clock == nil {
 		return nil, errors.New("daemon: config requires at least one device and a clock")
 	}
 	if len(cfg.AllowedLowLevelOps) == 0 {
@@ -532,7 +504,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		order:     order,
 		priority:  priority,
 		admitter:  admitter,
-		byDevice:  make(map[string]*deviceState, len(devices)),
+		byDevice:  make(map[string]*deviceState, len(cfg.Devices)),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		sessions:  make(map[string]*Session),
 		jobs:      make(map[string]*Job),
@@ -550,19 +522,17 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d.spanMarks = d.span != nil && !cfg.PipelineSpansOnly
 	// FleetOf owns the nil-device and unique-ID invariants.
-	fleet, err := device.FleetOf(devices...)
+	fleet, err := device.FleetOf(cfg.Devices...)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	for _, dev := range fleet.Devices() {
 		ds := &deviceState{
-			id:      dev.ID(),
-			dev:     dev,
-			queue:   sched.NewClassQueue(order.tieBreak(priority), d.usage),
-			spec:    dev.Spec(),
-			cache:   newProgLRU(cfg.ProgramCache),
-			byTask:  make(map[string]*Job),
-			orphans: make(map[string]device.TaskState),
+			id:    dev.ID(),
+			dev:   dev,
+			queue: sched.NewClassQueue(order.tieBreak(priority), d.usage),
+			spec:  dev.Spec(),
+			cache: newProgLRU(cfg.ProgramCache),
 		}
 		d.fleet = append(d.fleet, ds)
 		d.byDevice[ds.id] = ds
@@ -616,11 +586,9 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// notify delivers a lifecycle event snapshot to the configured listener. j is
-// a value copy the caller must have taken while holding d.mu (or before the
-// job became reachable by other goroutines), so the snapshot cannot tear
-// against a concurrent state change. Callers may hold d.mu or a deviceState
-// mutex, so listeners must not call back into the daemon (see
+// notify delivers a lifecycle event snapshot to the configured listener. The
+// caller holds d.mu, so the snapshot cannot tear against a concurrent state
+// change and listeners must not call back into the daemon (see
 // Config.JobListener).
 func (d *Daemon) notify(t JobEventType, j Job) {
 	if d.cfg.JobListener == nil {
@@ -689,25 +657,21 @@ func (d *Daemon) OpenSession(user string) (*Session, error) {
 // are left to finish (accounting continuity for the hosting site).
 func (d *Daemon) CloseSession(token string) error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	s, ok := d.sessions[token]
 	if !ok {
-		d.mu.Unlock()
 		return fmt.Errorf("daemon: unknown session")
 	}
 	delete(d.sessions, token)
-	var toCancel []string
 	for _, id := range s.Jobs {
 		if j := d.jobs[id]; j != nil && j.State == JobQueued {
-			toCancel = append(toCancel, id)
+			d.cancel(j)
 		}
 	}
 	if d.mSessions != nil {
 		d.mSessions.Set(nil, float64(len(d.sessions)))
 	}
-	d.mu.Unlock()
-	for _, id := range toCancel {
-		_ = d.CancelJob(token, id, true)
-	}
+	d.emitQueueTelemetry()
 	return nil
 }
 
@@ -840,6 +804,12 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	if traced {
 		tValidate = d.cfg.Clock.Now()
 	}
+	// Stages 1–4 run in one hold of d.mu: admission sees a load view no
+	// other submission can change before this one is queued, and the route
+	// and its push are atomic, so concurrent submissions cannot herd onto
+	// one partition or overshoot a depth cap.
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	// Stage 1: admission. Pins bypass the router, not the door; a rejected
 	// submission terminates here with a queryable job record.
 	dec := d.admitStage(req, s.User)
@@ -879,18 +849,6 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The reservation lasts until this submission is enqueued (or fails),
-	// i.e. until the job is visible to the next routing snapshot; it is
-	// released eagerly right after queue.Push so the synchronous dispatch
-	// below does not double-count the job in the router's load view.
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			d.routeDone(ds)
-		}
-	}
-	defer release()
 	// Heterogeneous fleets only: the router may land on a different spec
 	// than the one validated pre-admission. Re-check so users get immediate
 	// feedback instead of a failed device task later, and re-derive a
@@ -914,7 +872,6 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	if estimated && d.cfg.SetupSeconds > 0 && !ds.cache.contains(progHash) {
 		req.ExpectedQPUSeconds += d.cfg.SetupSeconds
 	}
-	d.mu.Lock()
 	now := d.cfg.Clock.Now()
 	j := newJob()
 	*j = Job{
@@ -931,7 +888,6 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 		State:              JobQueued,
 		DeadlineSeconds:    req.DeadlineSeconds,
 		SubmittedAt:        now,
-		payload:            req.Program,
 		prog:               prog,
 		progHash:           progHash,
 		enqueuedAt:         now,
@@ -942,9 +898,7 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	}
 	d.jobs[j.ID] = j
 	s.Jobs = append(s.Jobs, j.ID)
-	// Emit under d.mu, before the queue push: the snapshot cannot race a
-	// concurrent cancel and "submitted" always precedes "started" in
-	// listener order.
+	// "submitted" always precedes "started" in listener order.
 	d.notify(JobEventSubmitted, *j)
 	if traced {
 		cls := class.String()
@@ -958,86 +912,58 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageRoute, Class: cls, Device: ds.id,
 			Start: tAdmit, End: now, Detail: routeDetail})
 	}
-	item := d.queueItemLocked(j)
-	d.mu.Unlock()
-
 	// Stage 3: queueing — the partition's ClassQueue holds the job under
 	// class priority, ranked within the class by its priority key and the
 	// order's tie-break. Stage 4: dispatch.
-	if err := ds.queue.Push(item); err != nil {
+	if err := ds.queue.Push(d.queueItemLocked(j)); err != nil {
 		return nil, err
 	}
-	release()
 	d.emitQueueTelemetry()
 	d.dispatchDevice(ds)
-	return d.jobSnapshot(j.ID)
+	cp := *j
+	return &cp, nil
 }
 
-// route picks the target partition and reserves an in-flight slot on it (the
-// caller must release via routeDone once the job is enqueued or abandoned).
-// An explicit pin wins; otherwise the router chooses from a point-in-time
-// fleet snapshot whose load view includes other submissions still in flight.
-// The chosen class, pattern and program identity travel on a throwaway job
-// record so routers can specialize — the affinity scorer probes partition
-// caches by fingerprint, the capability scorer validates the decoded program
-// — without the daemon pre-creating the real one.
+// route picks the target partition. An explicit pin wins; otherwise the
+// router chooses from a point-in-time fleet snapshot. The chosen class,
+// pattern and program identity travel on a throwaway job record so routers
+// can specialize — the affinity scorer probes partition caches by
+// fingerprint, the capability scorer validates the decoded program — without
+// the daemon pre-creating the real one.
 func (d *Daemon) route(class sched.Class, pattern sched.Pattern, pin string, prog *qir.Program, progHash uint64) (*deviceState, error) {
-	d.routeMu.Lock()
-	defer d.routeMu.Unlock()
-	var picked *deviceState
 	switch {
 	case pin != "":
-		ds, err := d.lookupDevice(pin)
-		if err != nil {
-			return nil, err
-		}
-		picked = ds
+		return d.lookupDevice(pin)
 	case len(d.fleet) == 1:
-		picked = d.fleet[0]
-	default:
-		idx := d.router.Pick(&Job{Class: class, Pattern: pattern, prog: prog, progHash: progHash}, d.fleetInfosLocked())
-		if idx < 0 || idx >= len(d.fleet) {
-			return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
-		}
-		picked = d.fleet[idx]
+		return d.fleet[0], nil
 	}
-	picked.mu.Lock()
-	picked.inflight++
-	picked.mu.Unlock()
-	return picked, nil
+	idx := d.router.Pick(&Job{Class: class, Pattern: pattern, prog: prog, progHash: progHash}, d.fleetInfosLocked())
+	if idx < 0 || idx >= len(d.fleet) {
+		return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
+	}
+	return d.fleet[idx], nil
 }
 
 // fleetInfosLocked builds the router's point-in-time fleet load view — the
 // single definition shared by routing and requeue, so the two can never
-// disagree about what counts as load. Caller must hold routeMu.
+// disagree about what counts as load.
 func (d *Daemon) fleetInfosLocked() []DeviceInfo {
 	infos := make([]DeviceInfo, len(d.fleet))
 	for i, ds := range d.fleet {
-		info := DeviceInfo{
+		infos[i] = DeviceInfo{
 			ID:     ds.id,
 			Index:  i,
 			Status: ds.dev.Status(),
+			Queued: ds.queue.Len(),
 			cache:  ds.cache,
 			spec:   &ds.spec,
 		}
-		ds.mu.Lock()
-		info.Queued = ds.queue.Len() + ds.inflight
 		if ds.running != nil {
-			info.Busy = true
-			info.RunningClass = ds.running.Class
+			infos[i].Busy = true
+			infos[i].RunningClass = ds.running.Class
 		}
-		ds.mu.Unlock()
-		infos[i] = info
 	}
 	return infos
-}
-
-// routeDone releases a route reservation once the job is in the partition's
-// queue (visible to the next routing snapshot) or the submission failed.
-func (d *Daemon) routeDone(ds *deviceState) {
-	ds.mu.Lock()
-	ds.inflight--
-	ds.mu.Unlock()
 }
 
 func (d *Daemon) deviceIDs() []string {
@@ -1106,49 +1032,18 @@ func (d *Daemon) queueItemLocked(j *Job) *sched.Item {
 	return it
 }
 
-func decodeAndValidate(payload []byte, spec qir.DeviceSpec) (*qir.Program, error) {
-	prog := new(qir.Program)
-	if err := prog.UnmarshalJSON(payload); err != nil {
-		return nil, fmt.Errorf("daemon: decoding program: %w", err)
-	}
-	if err := prog.Validate(&spec); err != nil {
-		return nil, fmt.Errorf("daemon: program rejected: %w", err)
-	}
-	return prog, nil
-}
-
-// dispatchDevice runs the partition's dispatch loop, or — when a loop is
-// already active on another goroutine — records a wakeup so that loop
-// re-checks the queue before exiting. This keeps dispatch serial per device
-// while different partitions dispatch fully concurrently.
+// dispatchDevice runs the partition's dispatch loop until it makes no more
+// progress. Caller holds d.mu.
 func (d *Daemon) dispatchDevice(ds *deviceState) {
-	ds.mu.Lock()
-	ds.wakeups++
-	if ds.dispatching {
-		ds.mu.Unlock()
-		return
-	}
-	ds.dispatching = true
-	ds.mu.Unlock()
-	for {
-		ds.mu.Lock()
-		seen := ds.wakeups
-		ds.mu.Unlock()
-		progress := d.dispatchOnce(ds)
-		ds.mu.Lock()
-		if !progress && ds.wakeups == seen {
-			ds.dispatching = false
-			ds.mu.Unlock()
-			return
-		}
-		ds.mu.Unlock()
+	for d.dispatchOnce(ds) {
 	}
 }
 
 // dispatchOnce makes one dispatch attempt on the partition: preempt a
 // running lower-class job when a production job waits, or start the next
 // queued job if the partition is idle. It reports whether it changed state
-// (and the loop should try again).
+// (and the loop should try again). Every queued item belongs to a queued
+// job: a cancel removes the entry in the same hold that flips the state.
 func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	// Hold the queue through maintenance windows: jobs wait rather than
 	// fail, and maintenance_off re-dispatches.
@@ -1159,69 +1054,20 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 	if next == nil {
 		return false
 	}
-	// Re-check the peeked job under d.mu: a concurrent CancelJob flips the
-	// state before removing the queue entry, so a terminal state here means
-	// the item is a leftover — drop it rather than let a dead production
-	// job preempt live work.
-	if nj, ok := next.Payload.(*Job); ok {
-		d.mu.Lock()
-		stale := nj.State != JobQueued
-		d.mu.Unlock()
-		if stale {
-			ds.queue.Remove(next)
-			return true
-		}
-	}
-	ds.mu.Lock()
 	if run := ds.running; run != nil {
 		if d.cfg.EnablePreemption && sched.ShouldPreempt(next.Class, run.Class) {
-			d.mu.Lock()
-			// Re-verify the waiting job under the same d.mu hold that
-			// CancelJob uses to flip states: between the head check above
-			// and here it may have been cancelled, and a dead job must
-			// not get a victim preempted on its behalf.
-			if nj, ok := next.Payload.(*Job); ok && nj.State != JobQueued {
-				d.mu.Unlock()
-				ds.mu.Unlock()
-				ds.queue.Remove(next)
-				return true
-			}
-			taskID := run.DeviceTask
-			run.Preemptions++
-			d.preemptTotal++
-			d.notify(JobEventPreempted, *run)
-			d.mu.Unlock()
-			ds.mu.Unlock()
-			// Cancelling the device task triggers onDeviceTask, which
-			// requeues the victim on this partition and wakes the loop.
-			_ = ds.dev.Cancel(taskID)
-			return true
+			return d.preempt(ds, run)
 		}
-		ds.mu.Unlock()
 		return false
 	}
-	ds.mu.Unlock()
-
-	item := ds.queue.Pop()
-	if item == nil {
-		return false
-	}
-	j := item.Payload.(*Job)
-	d.mu.Lock()
+	j := ds.queue.Pop().Payload.(*Job)
 	j.item = nil // out of the queue: let the item be collected
-	if j.State != JobQueued {
-		d.mu.Unlock()
-		return true // stale item (cancelled while queued); try the next one
-	}
-	payload := j.payload
-	prog := j.prog
 	// Consult the partition's program cache at the moment of dispatch: a warm
 	// entry means this partition ran the program recently and skips the cold
 	// setup cost; a miss warms the cache (possibly evicting the LRU entry)
 	// and pays Config.SetupSeconds of extra device occupancy. The outcome is
 	// recorded on the job before the Started event fires, so listeners (the
-	// loadgen SLO analyzer) see it on every start. The cache mutex is a leaf
-	// lock, safe to take under d.mu.
+	// loadgen SLO analyzer) see it on every start.
 	var setup float64
 	if ds.cache != nil && j.progHash != 0 {
 		hit, evicted := ds.cache.touch(j.progHash)
@@ -1237,199 +1083,136 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 			}
 		}
 	}
-	d.mu.Unlock()
-
-	// The program was decoded and validated against this partition's spec at
-	// submission (and requeue only ever targets same-spec partitions), so
-	// dispatch reuses the cached decode; the legacy decode-and-validate runs
-	// only for records that somehow lack one.
-	var err error
-	if prog == nil {
-		prog, err = decodeAndValidate(payload, ds.dev.Spec())
+	// The program was decoded at submission and validated against this
+	// partition's spec (requeue only ever targets same-spec partitions), so
+	// dispatch reuses the decode. The task is registered in this same hold,
+	// so its completion cannot overtake the bookkeeping.
+	taskID, err := ds.dev.SubmitWithSetup(j.prog, setup)
+	if err != nil {
+		// Submission failed (validation drift, maintenance window, ...).
+		d.finishJob(j, JobFailed, err)
+		return true
 	}
-	if err == nil {
-		ds.mu.Lock()
-		ds.submitting = true
-		ds.mu.Unlock()
-		var taskID string
-		taskID, err = ds.dev.SubmitWithSetup(prog, setup)
-		if err == nil {
-			d.startJob(ds, j, taskID)
-			d.emitQueueTelemetry()
-			return true
-		}
-		ds.mu.Lock()
-		ds.submitting = false
-		ds.mu.Unlock()
-	}
-	// Submission failed (validation drift, maintenance window, ...).
-	d.finishJob(j, JobFailed, nil, err)
+	d.startJob(ds, j, taskID)
+	d.emitQueueTelemetry()
 	return true
 }
 
-// startJob records a successful device submission. If the task's terminal
-// notification already raced ahead (another goroutine advanced the clock),
-// the buffered orphan state is settled immediately; if the job was cancelled
-// between dispatchOnce's queued-state check and the device submission, the
-// device task is withdrawn instead of resurrecting the job.
+// startJob puts a job whose device task was just submitted into the
+// partition's running slot.
 func (d *Daemon) startJob(ds *deviceState, j *Job, taskID string) {
 	now := d.cfg.Clock.Now()
-	ds.mu.Lock()
-	ds.submitting = false
-	st, orphaned := ds.orphans[taskID]
-	// Drain the buffer wholesale: with serial per-device dispatch, any
-	// other entry is a stray from a task the daemon never started.
-	clear(ds.orphans)
-	if !orphaned {
-		// Register even a cancelled job's task so the device's
-		// cancellation callback flows through the normal settleTask path
-		// (which sees the terminal job state and leaves it alone).
-		ds.running = j
-		ds.byTask[taskID] = j
-	}
-	d.mu.Lock()
-	cancelled := j.State != JobQueued
-	if !cancelled && !orphaned {
-		// Orphaned tasks already finished, so `now` is post-completion —
-		// marking them running or recording a queue wait here would
-		// inflate the wait metrics by the execution time; settleTask
-		// finalizes them directly from queued.
-		j.State = JobRunning
-		j.StartedAt = now
-		j.DeviceTask = taskID
-		wait := now - j.SubmittedAt
-		d.waitSum[j.Class] += wait
-		d.waitCount[j.Class]++
-		d.bWait[j.Class].Observe(wait.Seconds())
-		d.feedWait(j.Class, wait, now)
-		d.notify(JobEventStarted, *j)
-		if d.traced() {
-			cls := j.Class.String()
-			if d.spanMarks {
-				// Close the partition's idle occupancy span (ds.mu is held).
-				if now > ds.occSince {
-					d.emitSpan(trace.Span{Stage: trace.StageIdle, Device: ds.id, Start: ds.occSince, End: now})
-				}
-				ds.occSince = now
+	ds.running = j
+	j.State = JobRunning
+	j.StartedAt = now
+	j.DeviceTask = taskID
+	wait := now - j.SubmittedAt
+	d.waitSum[j.Class] += wait
+	d.waitCount[j.Class]++
+	d.bWait[j.Class].Observe(wait.Seconds())
+	d.feedWait(j.Class, wait, now)
+	d.notify(JobEventStarted, *j)
+	if d.traced() {
+		cls := j.Class.String()
+		if d.spanMarks {
+			// Close the partition's idle occupancy span.
+			if now > ds.occSince {
+				d.emitSpan(trace.Span{Stage: trace.StageIdle, Device: ds.id, Start: ds.occSince, End: now})
 			}
-			d.emitSpan(trace.Span{Job: j.ID, Stage: waitStage(j), Class: cls, Device: ds.id,
-				Start: j.enqueuedAt, End: now, Detail: cacheDetail(j.Cache)})
-			if d.spanMarks {
-				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageDispatch, Class: cls, Device: ds.id,
-					Start: now, End: now, Detail: taskID})
-			}
+			ds.occSince = now
 		}
-	}
-	d.mu.Unlock()
-	ds.mu.Unlock()
-	switch {
-	case orphaned:
-		d.settleTask(ds, j, taskID, st)
-	case cancelled:
-		_ = ds.dev.Cancel(taskID)
+		d.emitSpan(trace.Span{Job: j.ID, Stage: waitStage(j), Class: cls, Device: ds.id,
+			Start: j.enqueuedAt, End: now, Detail: cacheDetail(j.Cache)})
+		if d.spanMarks {
+			d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageDispatch, Class: cls, Device: ds.id,
+				Start: now, End: now, Detail: taskID})
+		}
 	}
 }
 
-// onDeviceTask is the fleet-wide device listener: terminal device tasks are
-// routed to their partition by device ID, then finish or requeue their
-// daemon job and trigger that partition's next dispatch.
+// releaseSlot empties the partition's running slot and closes its busy
+// occupancy span.
+func (d *Daemon) releaseSlot(ds *deviceState) {
+	j := ds.running
+	ds.running = nil
+	if d.spanMarks {
+		now := d.cfg.Clock.Now()
+		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageBusy, Class: j.Class.String(),
+			Device: ds.id, Start: ds.occSince, End: now})
+		ds.occSince = now
+	}
+}
+
+// preempt evicts the partition's running job for a waiting production job:
+// it withdraws the victim's device task and requeues the victim, on an idle
+// partition when the router finds one. It reports false when the task has
+// already ended on its own; that completion is on its way to onDeviceTask,
+// which re-dispatches the partition.
+func (d *Daemon) preempt(ds *deviceState, run *Job) bool {
+	if ds.dev.Cancel(run.DeviceTask) != nil {
+		return false
+	}
+	run.Preemptions++
+	d.preemptTotal++
+	d.notify(JobEventPreempted, *run)
+	d.releaseSlot(ds)
+	now := d.cfg.Clock.Now()
+	run.State = JobQueued
+	run.DeviceTask = ""
+	run.enqueuedAt = now
+	if d.traced() {
+		cls := run.Class.String()
+		d.emitSpan(trace.Span{Job: run.ID, Stage: trace.StageExecute, Class: cls, Device: ds.id,
+			Start: run.StartedAt, End: now, Detail: "preempted"})
+		if d.spanMarks {
+			d.emitSpan(trace.Span{Job: run.ID, Stage: trace.MarkPreempted, Class: cls, Device: ds.id,
+				Start: now, End: now})
+		}
+	}
+	// Cross-partition requeue: if another idle partition can take the
+	// victim, re-route it through the router rather than pinning it behind
+	// the production job that evicted it. The new queue item keeps the
+	// original submit time as Enqueued, so every order but constant-priority
+	// fifo (push order) keeps the victim's seniority.
+	target := d.requeuePartition(run, ds)
+	run.Device = target.id
+	d.notify(JobEventRequeued, *run)
+	if d.spanMarks {
+		d.emitSpan(trace.Span{Job: run.ID, Stage: trace.MarkRequeued, Class: run.Class.String(),
+			Device: target.id, Start: now, End: now})
+	}
+	_ = target.queue.Push(d.queueItemLocked(run)) // a fresh item of an admitted job: cannot fail
+	if target != ds {
+		d.dispatchDevice(target)
+	}
+	d.emitQueueTelemetry()
+	return true
+}
+
+// onDeviceTask is the fleet-wide device listener. The device calls it only
+// for tasks that end on their own (completed or failed), outside every
+// device lock. It settles the partition's running job and re-dispatches the
+// partition; a task the daemon is not running (a FleetOf-wrapped device's
+// own work) is ignored.
 func (d *Daemon) onDeviceTask(deviceID, taskID string, state device.TaskState) {
 	ds, ok := d.byDevice[deviceID]
 	if !ok {
 		return
 	}
-	ds.mu.Lock()
-	j, ok := ds.byTask[taskID]
-	if !ok {
-		// While a submission is in flight, this may be its terminal state
-		// racing ahead of registration — buffer it for startJob to
-		// consume. Otherwise the task is not ours (e.g. a pre-existing
-		// task on a FleetOf-wrapped device); ignore it.
-		if ds.submitting {
-			ds.orphans[taskID] = state
-		}
-		ds.mu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j := ds.running
+	if j == nil || j.DeviceTask != taskID {
 		return
 	}
-	delete(ds.byTask, taskID)
-	if ds.running == j {
-		ds.running = nil
-		if d.spanMarks {
-			// Close the partition's busy occupancy span (ds.mu is held).
-			now := d.cfg.Clock.Now()
-			d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageBusy, Class: j.Class.String(),
-				Device: ds.id, Start: ds.occSince, End: now})
-			ds.occSince = now
-		}
-	}
-	ds.mu.Unlock()
-	d.settleTask(ds, j, taskID, state)
-}
-
-// settleTask finalizes or requeues a job whose device task reached a
-// terminal state, then re-dispatches the partition.
-func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device.TaskState) {
-	switch state {
-	case device.TaskCompleted:
-		res, err := ds.dev.TaskResult(taskID)
-		if err != nil {
-			d.finishJob(j, JobFailed, nil, err)
-		} else {
-			d.usage.Add(j.User, res.QPUSeconds)
-			d.mu.Lock()
-			j.res = res
-			d.mu.Unlock()
-			d.finishJob(j, JobCompleted, nil, nil)
-		}
-	case device.TaskFailed:
-		_, err := ds.dev.TaskResult(taskID)
-		d.finishJob(j, JobFailed, nil, err)
-	case device.TaskCancelled:
-		d.mu.Lock()
-		preempted := j.Preemptions > 0 && j.State == JobRunning
-		wasCancelled := j.State == JobCancelled
-		if preempted {
-			j.State = JobQueued
-			j.DeviceTask = ""
-			now := d.cfg.Clock.Now()
-			j.enqueuedAt = now
-			if d.traced() {
-				cls := j.Class.String()
-				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageExecute, Class: cls, Device: ds.id,
-					Start: j.StartedAt, End: now, Detail: "preempted"})
-				if d.spanMarks {
-					d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkPreempted, Class: cls, Device: ds.id,
-						Start: now, End: now})
-				}
-			}
-		}
-		d.mu.Unlock()
-		if preempted {
-			// Cross-partition requeue: if another idle partition can take the
-			// victim, re-route it through the router rather than pinning it
-			// behind the production job that evicted it. The new queue item
-			// keeps the original submit time as Enqueued, so every order but
-			// constant-priority fifo (push order) keeps the victim's seniority.
-			target := d.requeuePartition(j, ds)
-			d.mu.Lock()
-			if target != ds {
-				j.Device = target.id
-			}
-			d.notify(JobEventRequeued, *j)
-			if d.spanMarks {
-				d.emitSpan(trace.Span{Job: j.ID, Stage: trace.MarkRequeued, Class: j.Class.String(),
-					Device: target.id, Start: j.enqueuedAt, End: j.enqueuedAt})
-			}
-			item := d.queueItemLocked(j)
-			d.mu.Unlock()
-			_ = target.queue.Push(item)
-			if target != ds {
-				d.routeDone(target)
-				d.dispatchDevice(target)
-			}
-		} else if !wasCancelled {
-			d.finishJob(j, JobCancelled, nil, nil)
-		}
+	d.releaseSlot(ds)
+	res, err := ds.dev.TaskResult(taskID)
+	if state == device.TaskCompleted && err == nil {
+		d.usage.Add(j.User, res.QPUSeconds)
+		j.res = res
+		d.finishJob(j, JobCompleted, nil)
+	} else {
+		d.finishJob(j, JobFailed, err)
 	}
 	d.emitQueueTelemetry()
 	d.dispatchDevice(ds)
@@ -1443,14 +1226,10 @@ func (d *Daemon) settleTask(ds *deviceState, j *Job, taskID string, state device
 // its preemptor). The router's pick is honored only when it lands on such an
 // idle partition: a load-blind pick (round-robin pointing at a backlogged
 // partition) must not strand the victim somewhere worse than where it was.
-// When a move happens the returned partition carries an in-flight reservation
-// the caller must release with routeDone after the queue push.
 func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	if len(d.fleet) == 1 || j.Pinned {
 		return orig
 	}
-	d.routeMu.Lock()
-	defer d.routeMu.Unlock()
 	origSpec := orig.dev.Spec().Name
 	infos := d.fleetInfosLocked()
 	// idleTarget reports whether partition i can absorb the victim now: not
@@ -1475,31 +1254,18 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	if idx < 0 || idx >= len(d.fleet) || !idleTarget(idx) {
 		return orig
 	}
-	target := d.fleet[idx]
-	target.mu.Lock()
-	target.inflight++
-	target.mu.Unlock()
-	return target
+	return d.fleet[idx]
 }
 
-// finishJob finalizes a job's terminal state.
-func (d *Daemon) finishJob(j *Job, state JobState, result []byte, err error) {
-	d.mu.Lock()
-	d.finishLocked(j, state, result, err)
-	d.mu.Unlock()
-}
-
-// finishLocked is finishJob under an already-held d.mu — the single place a
-// job turns terminal. It reports whether the transition happened (false when
-// the job already reached a terminal state).
-func (d *Daemon) finishLocked(j *Job, state JobState, result []byte, err error) bool {
+// finishJob is the single place a job turns terminal; a job that already is
+// keeps its first terminal state.
+func (d *Daemon) finishJob(j *Job, state JobState, err error) {
 	if j.State == JobCompleted || j.State == JobFailed || j.State == JobCancelled || j.State == JobRejected {
-		return false
+		return
 	}
 	prior := j.State
 	j.State = state
 	j.FinishedAt = d.cfg.Clock.Now()
-	j.result = result
 	if err != nil {
 		j.Error = err.Error()
 	}
@@ -1532,8 +1298,8 @@ func (d *Daemon) finishLocked(j *Job, state JobState, result []byte, err error) 
 			d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageExecute, Class: cls, Device: j.Device,
 				Start: j.StartedAt, End: j.FinishedAt, Detail: detail})
 		case JobQueued:
-			// Cancelled while waiting — or an orphaned completion whose
-			// terminal device notification raced ahead of start bookkeeping.
+			// Ended without running: cancelled while waiting, or refused by
+			// the device at dispatch.
 			d.emitSpan(trace.Span{Job: j.ID, Stage: waitStage(j), Class: cls, Device: j.Device,
 				Start: j.enqueuedAt, End: j.FinishedAt, Detail: detail})
 		}
@@ -1542,59 +1308,49 @@ func (d *Daemon) finishLocked(j *Job, state JobState, result []byte, err error) 
 				Start: j.FinishedAt, End: j.FinishedAt})
 		}
 	}
-	return true
 }
 
 // CancelJob cancels a queued or running job. Sessions may cancel their own
 // jobs; admin-initiated cancellations pass force=true.
 func (d *Daemon) CancelJob(token, jobID string, force bool) error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	j, ok := d.jobs[jobID]
 	if !ok {
-		d.mu.Unlock()
 		return fmt.Errorf("daemon: unknown job %q", jobID)
 	}
 	if !force && j.Session != token {
-		d.mu.Unlock()
 		return errors.New("daemon: job belongs to another session")
 	}
-	ds := d.byDevice[j.Device]
-	switch j.State {
-	case JobQueued:
-		// Flip to cancelled under the same lock hold as the state check so
-		// a concurrent dispatcher popping the item sees the terminal state
-		// and skips it; the queue entry is then removed best-effort.
-		d.finishLocked(j, JobCancelled, nil, nil)
-		item := j.item
-		d.mu.Unlock()
-		if ds != nil {
-			ds.queue.Remove(item)
-		}
-	case JobRunning:
-		taskID := j.DeviceTask
-		d.finishLocked(j, JobCancelled, nil, nil) // mark first so settleTask won't requeue
-		d.mu.Unlock()
-		if ds != nil {
-			_ = ds.dev.Cancel(taskID)
-		}
-	default:
-		d.mu.Unlock()
+	if !d.cancel(j) {
 		return fmt.Errorf("daemon: job %s already %s", jobID, j.State)
 	}
 	d.emitQueueTelemetry()
 	return nil
 }
 
-// jobSnapshot returns a copy of the job record.
-func (d *Daemon) jobSnapshot(jobID string) (*Job, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, ok := d.jobs[jobID]
-	if !ok {
-		return nil, fmt.Errorf("daemon: unknown job %q", jobID)
+// cancel turns a queued or running job cancelled, reporting false when the
+// job is already terminal. A queued job leaves its queue in the same hold. A
+// running job's device task is withdrawn and the partition re-dispatched;
+// when the task has already ended on its own, its completion (on its way to
+// onDeviceTask) frees the slot instead.
+func (d *Daemon) cancel(j *Job) bool {
+	ds := d.byDevice[j.Device]
+	switch j.State {
+	case JobQueued:
+		d.finishJob(j, JobCancelled, nil)
+		ds.queue.Remove(j.item)
+		j.item = nil
+	case JobRunning:
+		d.finishJob(j, JobCancelled, nil)
+		if ds.dev.Cancel(j.DeviceTask) == nil {
+			d.releaseSlot(ds)
+			d.dispatchDevice(ds)
+		}
+	default:
+		return false
 	}
-	cp := *j
-	return &cp, nil
+	return true
 }
 
 // JobStatus returns a session's view of a job.
@@ -1698,17 +1454,17 @@ func (d *Daemon) AdminStatus() StatusReport {
 		MeanWait:     make(map[string]time.Duration),
 		JobsBySource: make(map[string]int),
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for _, ds := range d.fleet {
 		dr := DeviceReport{
 			ID:           ds.id,
 			Device:       ds.dev.AdminSnapshot(),
 			QueuedByName: queueLens(ds.queue),
 		}
-		ds.mu.Lock()
 		if ds.running != nil {
 			dr.Running = ds.running.ID
 		}
-		ds.mu.Unlock()
 		for name, n := range dr.QueuedByName {
 			rep.QueuedByName[name] += n
 		}
@@ -1718,8 +1474,6 @@ func (d *Daemon) AdminStatus() StatusReport {
 		rep.Devices = append(rep.Devices, dr)
 	}
 	rep.Device = rep.Devices[0].Device
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	rep.Sessions = len(d.sessions)
 	rep.Preemptions = d.preemptTotal
 	rep.Rejected = d.rejectedTotal
@@ -1798,6 +1552,8 @@ func (d *Daemon) lowLevelOp(op string, targets []*deviceState) (string, error) {
 		}
 		return "maintenance started", nil
 	case "maintenance_off":
+		d.mu.Lock()
+		defer d.mu.Unlock()
 		for _, ds := range targets {
 			ds.dev.EndMaintenance()
 			d.dispatchDevice(ds)

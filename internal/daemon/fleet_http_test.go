@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -12,9 +13,9 @@ import (
 	"hpcqc/internal/simclock"
 )
 
-// newFleetHTTPEnv hosts a 3-partition daemon on an httptest server with a
-// background clock pump, mirroring newHTTPEnv.
-func newFleetHTTPEnv(t *testing.T) (*Daemon, *device.Fleet, *httptest.Server) {
+// newFleetHTTPEnv hosts a 3-partition daemon on an httptest server,
+// mirroring newHTTPEnv: the returned client's status polls advance the clock.
+func newFleetHTTPEnv(t *testing.T) (*Daemon, *device.Fleet, *httptest.Server, *http.Client) {
 	t.Helper()
 	clk := simclock.New()
 	fleet, err := device.NewFleet(3, device.Config{Clock: clk, Seed: 21, DriftInterval: time.Hour})
@@ -30,29 +31,17 @@ func newFleetHTTPEnv(t *testing.T) (*Daemon, *device.Fleet, *httptest.Server) {
 	}
 	ts := httptest.NewServer(d.Handler())
 	t.Cleanup(ts.Close)
-	stop := make(chan struct{})
-	t.Cleanup(func() { close(stop) })
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-				clk.Advance(5 * time.Second)
-			}
-		}
-	}()
-	return d, fleet, ts
+	return d, fleet, ts, pollingClient(clk)
 }
 
 // TestClientPartitionPinning exercises the QRMI client against the fleet
 // API: acquisition against a named partition, task execution pinned there,
 // and rejection of unknown partition names at acquire time.
 func TestClientPartitionPinning(t *testing.T) {
-	_, fleet, ts := newFleetHTTPEnv(t)
+	_, fleet, ts, hc := newFleetHTTPEnv(t)
 	ids := fleet.IDs()
 
-	c, err := NewClient(ts.URL, "alice", sched.ClassTest, nil)
+	c, err := NewClient(ts.URL, "alice", sched.ClassTest, hc)
 	if err != nil {
 		t.Fatal(err)
 	}

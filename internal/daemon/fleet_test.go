@@ -1,11 +1,14 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hpcqc/internal/admission"
 	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
@@ -88,10 +91,27 @@ func TestFleetSpreadsJobsAcrossDevices(t *testing.T) {
 	env.drain(t, 5*time.Minute)
 }
 
-// TestFleetConcurrentSubmit hammers the daemon from many sessions while a
-// separate goroutine advances the shared clock — the race the per-device
-// orphan buffer exists for. Run under -race (make test-race); every job must
-// reach a terminal state and none may be lost.
+// assertIdle fails when any partition still holds a running slot, a queue
+// entry or a device task.
+func (env *fleetEnv) assertIdle(t *testing.T) {
+	t.Helper()
+	env.d.mu.Lock()
+	defer env.d.mu.Unlock()
+	for _, ds := range env.d.fleet {
+		snap := ds.dev.AdminSnapshot()
+		if ds.running != nil || ds.queue.Len() != 0 || snap.Running != "" || snap.QueueLength != 0 {
+			t.Fatalf("partition %s not idle: running=%v queued=%d device task=%q device queue=%d",
+				ds.id, ds.running != nil, ds.queue.Len(), snap.Running, snap.QueueLength)
+		}
+	}
+}
+
+// TestFleetConcurrentSubmit hammers the daemon from many sessions — dev,
+// test and preempting production jobs, some cancelled by their owners right
+// after submission — while a separate goroutine advances the shared clock.
+// Run under -race (make test-race): every job must end completed, or
+// cancelled exactly when its owner's cancel succeeded, and the drained fleet
+// must hold no running slot or device task.
 func TestFleetConcurrentSubmit(t *testing.T) {
 	env := newFleetEnv(t, 4, NewLeastLoadedRouter())
 	const (
@@ -114,6 +134,7 @@ func TestFleetConcurrentSubmit(t *testing.T) {
 		}
 	}()
 	var wg sync.WaitGroup
+	var cancelled sync.Map // job ID → struct{}{} once its cancel succeeded
 	errs := make(chan error, sessions*perSess)
 	for u := 0; u < sessions; u++ {
 		wg.Add(1)
@@ -126,9 +147,15 @@ func TestFleetConcurrentSubmit(t *testing.T) {
 			}
 			for i := 0; i < perSess; i++ {
 				class := sched.Class(i % 3)
-				if _, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: class}); err != nil {
+				j, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: class})
+				if err != nil {
 					errs <- err
 					return
+				}
+				// Withdraw a production and a dev job per session, whether
+				// still queued, running or already done.
+				if i%4 == 2 && env.d.CancelJob(s.Token, j.ID, false) == nil {
+					cancelled.Store(j.ID, struct{}{})
 				}
 			}
 		}(u)
@@ -146,10 +173,342 @@ func TestFleetConcurrentSubmit(t *testing.T) {
 		t.Fatalf("jobs recorded = %d, want %d", len(jobs), sessions*perSess)
 	}
 	for _, j := range jobs {
-		if j.State != JobCompleted {
-			t.Fatalf("job %s on %s ended %s (%s)", j.ID, j.Device, j.State, j.Error)
+		want := JobCompleted
+		if _, ok := cancelled.Load(j.ID); ok {
+			want = JobCancelled
+		}
+		if j.State != want {
+			t.Fatalf("job %s on %s ended %s, want %s (%s)", j.ID, j.Device, j.State, want, j.Error)
 		}
 	}
+	env.assertIdle(t)
+}
+
+// TestFleetConcurrentSubmitsSpreadOnePerPartition releases one submission
+// per partition at once onto an idle least-loaded fleet with the clock
+// stopped. Route and queue push are one atomic step, so the burst lands one
+// job per partition instead of herding onto the first.
+func TestFleetConcurrentSubmitsSpreadOnePerPartition(t *testing.T) {
+	const n = 4
+	env := newFleetEnv(t, n, NewLeastLoadedRouter())
+	prog := payload(t, 100)
+	start := make(chan struct{})
+	jobs := make(chan *Job, n)
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := env.d.OpenSession(fmt.Sprintf("user-%d", i))
+			if err != nil {
+				errs <- err
+				return
+			}
+			<-start
+			j, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassTest})
+			if err != nil {
+				errs <- err
+				return
+			}
+			jobs <- j
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(jobs)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	perPartition := map[string]int{}
+	for j := range jobs {
+		if j.State != JobRunning {
+			t.Fatalf("job %s = %s on %s, want running on its own partition", j.ID, j.State, j.Device)
+		}
+		perPartition[j.Device]++
+	}
+	if len(perPartition) != n {
+		t.Fatalf("%d concurrent submissions used %d partitions: %v", n, len(perPartition), perPartition)
+	}
+	env.drain(t, time.Hour)
+	env.assertIdle(t)
+}
+
+// TestFleetConcurrentCancelNeverRunsOrPreempts cancels queued production
+// jobs while other goroutines advance the clock and submit production work
+// elsewhere. A cancelled job must never start, and must never preempt the
+// dev job that runs once the partition's production work is done.
+func TestFleetConcurrentCancelNeverRunsOrPreempts(t *testing.T) {
+	clk := simclock.New()
+	fleet, err := device.NewFleet(2, device.Config{Clock: clk, Seed: 31, DriftInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	started := map[string]bool{}
+	preempted := 0
+	d, err := NewDaemon(Config{
+		Devices: fleet.Devices(), Clock: clk, AdminToken: "admin", EnablePreemption: true, Seed: 3,
+		JobListener: func(ev JobEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch ev.Type {
+			case JobEventStarted:
+				started[ev.Job.ID] = true
+			case JobEventPreempted:
+				preempted++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &fleetEnv{clk: clk, fleet: fleet, d: d}
+	ids := fleet.IDs()
+	s, _ := d.OpenSession("alice")
+	long, short := payload(t, 300), payload(t, 10)
+	submit := func(prog []byte, class sched.Class, pin string) *Job {
+		t.Helper()
+		j, err := d.Submit(s.Token, SubmitRequest{Program: prog, Class: class, Device: pin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	// Partition 0 runs a 300 s production job. Behind it wait the
+	// production jobs about to be cancelled and, last, a dev job.
+	submit(long, sched.ClassProduction, ids[0])
+	var doomed []*Job
+	for i := 0; i < 8; i++ {
+		doomed = append(doomed, submit(short, sched.ClassProduction, ids[0]))
+	}
+	devJob := submit(short, sched.ClassDev, ids[0])
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(doomed)+10)
+	wg.Add(3)
+	go func() { // cancels land while the doomed jobs still wait
+		defer wg.Done()
+		for _, j := range doomed {
+			if err := d.CancelJob(s.Token, j.ID, false); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() { // 100 s of clock: the long job is still running after it
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			clk.Advance(time.Second)
+		}
+	}()
+	go func() { // production work on the other partition
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if _, err := d.Submit(s.Token, SubmitRequest{Program: short, Class: sched.ClassProduction, Device: ids[1]}); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	env.drain(t, 2*time.Hour)
+	for _, j := range doomed {
+		got, _ := d.JobStatus(s.Token, j.ID)
+		mu.Lock()
+		ran := started[j.ID]
+		mu.Unlock()
+		if got.State != JobCancelled || ran {
+			t.Fatalf("cancelled job %s ended %s (started=%v)", j.ID, got.State, ran)
+		}
+	}
+	dv, _ := d.JobStatus(s.Token, devJob.ID)
+	if dv.State != JobCompleted || dv.Preemptions != 0 {
+		t.Fatalf("dev job = %s preemptions=%d — a cancelled job preempted it", dv.State, dv.Preemptions)
+	}
+	mu.Lock()
+	events := preempted
+	mu.Unlock()
+	if counted := d.AdminStatus().Preemptions; events != 0 || counted != 0 {
+		t.Fatalf("preemptions: %d events, %d counted; want none", events, counted)
+	}
+	env.assertIdle(t)
+}
+
+// TestCancelRacesDispatchDoesNotResurrect races a queued job's cancel
+// against the dispatch that would start it: cancelling the blocker ahead of
+// it re-dispatches the partition in the same hold, so the waiting job is
+// either still queued or already running when its own cancel lands. Either
+// way it must stay cancelled — never flip back to running or complete later
+// — any device task it got must be withdrawn, and the partition left idle.
+// The first two rounds fix the two orders; the rest race them.
+func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		env := newFleetEnv(t, 1, nil)
+		s, _ := env.d.OpenSession("alice")
+		// Occupy the partition so the second job stays queued.
+		blocker, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 100), Class: sched.ClassDev})
+		j, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassDev})
+		if blocker.State != JobRunning || j.State != JobQueued {
+			t.Fatalf("round %d: blocker=%s job=%s, want running and queued", round, blocker.State, j.State)
+		}
+		cancel := func(id string) error { return env.d.CancelJob(s.Token, id, false) }
+		switch round {
+		case 0: // cancel lands while the job waits
+			if err := cancel(j.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := cancel(blocker.ID); err != nil {
+				t.Fatal(err)
+			}
+		case 1: // cancel lands after the dispatch started the job
+			if err := cancel(blocker.ID); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := env.d.JobStatus(s.Token, j.ID); got.State != JobRunning {
+				t.Fatalf("job = %s after the blocker's cancel, want running", got.State)
+			}
+			if err := cancel(j.ID); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			var wg sync.WaitGroup
+			errs := make(chan error, 2)
+			for _, id := range []string{j.ID, blocker.ID} {
+				wg.Add(1)
+				go func(id string) {
+					defer wg.Done()
+					if err := cancel(id); err != nil {
+						errs <- err
+					}
+				}(id)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			for _, id := range []string{j.ID, blocker.ID} {
+				got, _ := env.d.JobStatus(s.Token, id)
+				if got.State != JobCancelled {
+					t.Fatalf("round %d: cancelled job %s resurrected: %s", round, id, got.State)
+				}
+				if got.DeviceTask != "" {
+					if st, _ := env.d.fleet[0].dev.TaskStatus(got.DeviceTask); st != device.TaskCancelled {
+						t.Fatalf("round %d: job %s device task = %s, want cancelled", round, id, st)
+					}
+				}
+			}
+			env.clk.Advance(time.Hour) // a resurrected task would complete here
+		}
+		env.assertIdle(t)
+	}
+}
+
+// TestCancelledQueuedJobDoesNotPreempt holds a production job in the queue
+// behind a running dev job (the partition is in maintenance, so dispatch
+// waits), cancels it, and re-dispatches the partition. The cancel removed
+// the queue entry in the same hold, so nothing is left to preempt the dev
+// job.
+func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
+	env := newFleetEnv(t, 1, nil)
+	ds := env.d.fleet[0]
+	s, _ := env.d.OpenSession("alice")
+	devJob, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 500), Class: sched.ClassDev})
+	ds.dev.StartMaintenance()
+	prod, err := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassProduction})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prod.State != JobQueued {
+		t.Fatalf("production job = %s during maintenance, want queued", prod.State)
+	}
+	if err := env.d.CancelJob(s.Token, prod.ID, false); err != nil {
+		t.Fatal(err)
+	}
+	ds.dev.EndMaintenance()
+	env.d.mu.Lock()
+	env.d.dispatchDevice(ds)
+	queued := ds.queue.Len()
+	env.d.mu.Unlock()
+
+	dv, _ := env.d.JobStatus(s.Token, devJob.ID)
+	if dv.State != JobRunning || dv.Preemptions != 0 {
+		t.Fatalf("dev job = %s preemptions=%d — cancelled production job preempted it", dv.State, dv.Preemptions)
+	}
+	if queued != 0 {
+		t.Fatalf("stale queue entry left by cancel: len=%d", queued)
+	}
+	if env.d.AdminStatus().Preemptions != 0 {
+		t.Fatal("preemption counter inflated by cancelled job")
+	}
+	env.clk.Advance(time.Hour)
+	if pv, _ := env.d.JobStatus(s.Token, prod.ID); pv.State != JobCancelled {
+		t.Fatalf("cancelled production job = %s", pv.State)
+	}
+	if dv, _ = env.d.JobStatus(s.Token, devJob.ID); dv.State != JobCompleted || dv.Preemptions != 0 {
+		t.Fatalf("dev job = %s preemptions=%d, want completed unpreempted", dv.State, dv.Preemptions)
+	}
+	env.assertIdle(t)
+}
+
+// TestFleetConcurrentQueueDepthCapExact submits a burst of dev jobs at once
+// against a queue-depth cap with the clock stopped. Admission and the queue
+// push share one hold of the daemon lock, so the cap holds exactly: one job
+// runs per partition, cap × partitions wait, and every other submission is
+// shed.
+func TestFleetConcurrentQueueDepthCapExact(t *testing.T) {
+	const (
+		parts = 2
+		depth = 3
+		burst = 24
+	)
+	env, _ := newAdmissionEnv(t, parts, &admission.QueueDepth{PerDeviceDepth: depth})
+	s, err := env.d.OpenSession("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := payload(t, 50)
+	start := make(chan struct{})
+	var accepted, rejected atomic.Int64
+	errs := make(chan error, burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := env.d.Submit(s.Token, SubmitRequest{Program: prog, Class: sched.ClassDev})
+			var rej *RejectedError
+			switch {
+			case err == nil:
+				accepted.Add(1)
+			case errors.As(err, &rej):
+				rejected.Add(1)
+			default:
+				errs <- err
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if want := int64(parts + parts*depth); accepted.Load() != want || rejected.Load() != burst-want {
+		t.Fatalf("accepted %d, rejected %d; want %d and %d", accepted.Load(), rejected.Load(), want, burst-want)
+	}
+	if q := env.d.QueueLengths()["dev"]; q != parts*depth {
+		t.Fatalf("dev backlog = %d, want exactly the cap %d", q, parts*depth)
+	}
+	env.drain(t, time.Hour)
+	env.assertIdle(t)
 }
 
 // TestFleetPreemptionConfinedToDevice pins dev-class jobs to two partitions,
@@ -231,7 +590,9 @@ func TestFleetMaintenanceFailover(t *testing.T) {
 		t.Fatal("maintenance_off passed outside allowlist")
 	}
 	dev0.EndMaintenance()
+	env.d.mu.Lock()
 	env.d.dispatchDevice(env.d.byDevice[ids[0]])
+	env.d.mu.Unlock()
 	env.clk.Advance(10 * time.Minute)
 	got, _ = env.d.JobStatus(s.Token, stranded.ID)
 	if got.State != JobCompleted {
@@ -331,136 +692,6 @@ func TestRouterPolicies(t *testing.T) {
 			t.Fatalf("%s picked out-of-range %d with fleet down", r.Name(), idx)
 		}
 	}
-}
-
-// TestCancelRacesDispatchDoesNotResurrect replays the check-then-act window
-// between dispatchOnce's queued-state check and startJob: a job cancelled in
-// that window must stay cancelled — not flip back to running and later
-// complete — and its device task must be withdrawn.
-func TestCancelRacesDispatchDoesNotResurrect(t *testing.T) {
-	env := newFleetEnv(t, 1, nil)
-	ds := env.d.fleet[0]
-	s, _ := env.d.OpenSession("alice")
-	// Occupy the device so the second job stays queued.
-	blocker, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 100), Class: sched.ClassDev})
-	j, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 10), Class: sched.ClassDev})
-
-	// Simulate the racing dispatcher: pop the item (passing the queued
-	// check), then let the cancel land before the device submission.
-	item := ds.queue.Pop()
-	if item == nil || item.Payload.(*Job).ID != j.ID {
-		t.Fatalf("popped %+v, want %s", item, j.ID)
-	}
-	if err := env.d.CancelJob(s.Token, j.ID, false); err != nil {
-		t.Fatal(err)
-	}
-	// Free the device and finish the dispatcher's submission.
-	if err := env.d.CancelJob(s.Token, blocker.ID, false); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := decodeAndValidate(item.Payload.(*Job).payload, ds.dev.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	taskID, err := ds.dev.Submit(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.d.startJob(ds, item.Payload.(*Job), taskID)
-
-	got, _ := env.d.JobStatus(s.Token, j.ID)
-	if got.State != JobCancelled {
-		t.Fatalf("cancelled job resurrected: %s", got.State)
-	}
-	if st, _ := ds.dev.TaskStatus(taskID); st != device.TaskCancelled {
-		t.Fatalf("device task = %s, want cancelled", st)
-	}
-	env.clk.Advance(time.Hour)
-	got, _ = env.d.JobStatus(s.Token, j.ID)
-	if got.State != JobCancelled {
-		t.Fatalf("cancelled job completed later: %s", got.State)
-	}
-	ds.mu.Lock()
-	busy := ds.running != nil
-	leak := len(ds.byTask) + len(ds.orphans)
-	ds.mu.Unlock()
-	if busy || leak != 0 {
-		t.Fatalf("device state leaked: running=%v byTask+orphans=%d", busy, leak)
-	}
-}
-
-// TestCancelledQueuedJobDoesNotPreempt replays the other half of the
-// cancel/dispatch race: a production job cancelled while its queue entry is
-// still present (CancelJob flips the state before removing the entry) must
-// not preempt a running lower-class job.
-func TestCancelledQueuedJobDoesNotPreempt(t *testing.T) {
-	env := newFleetEnv(t, 1, nil)
-	ds := env.d.fleet[0]
-	s, _ := env.d.OpenSession("alice")
-	devJob, _ := env.d.Submit(s.Token, SubmitRequest{Program: payload(t, 500), Class: sched.ClassDev})
-
-	// A production job whose cancellation has updated the state but not yet
-	// removed the queue entry.
-	env.d.mu.Lock()
-	env.d.nextJob++
-	ghost := &Job{
-		ID: fmt.Sprintf("job-%d", env.d.nextJob), Session: s.Token, User: "alice",
-		Class: sched.ClassProduction, Device: ds.id, State: JobQueued,
-		SubmittedAt: env.clk.Now(), payload: payload(t, 10),
-	}
-	env.d.jobs[ghost.ID] = ghost
-	item := env.d.queueItemLocked(ghost)
-	env.d.mu.Unlock()
-	if err := ds.queue.Push(item); err != nil {
-		t.Fatal(err)
-	}
-	env.d.mu.Lock()
-	ghost.State = JobCancelled
-	env.d.mu.Unlock()
-
-	env.d.dispatchDevice(ds)
-
-	dv, _ := env.d.JobStatus(s.Token, devJob.ID)
-	if dv.State != JobRunning || dv.Preemptions != 0 {
-		t.Fatalf("dev job = %s preemptions=%d — cancelled ghost preempted it", dv.State, dv.Preemptions)
-	}
-	if n := ds.queue.Len(); n != 0 {
-		t.Fatalf("stale queue entry not dropped: len=%d", n)
-	}
-	if env.d.AdminStatus().Preemptions != 0 {
-		t.Fatal("preemption counter inflated by cancelled job")
-	}
-}
-
-// TestRouteReservesInflightSlot checks the anti-herding reservation: two
-// routes taken before either job reaches a queue (the window concurrent
-// submissions race through) must land on different partitions, because the
-// first pick's in-flight slot already counts as load for the second.
-func TestRouteReservesInflightSlot(t *testing.T) {
-	env := newFleetEnv(t, 2, NewLeastLoadedRouter())
-	a, err := env.d.route(sched.ClassTest, "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := env.d.route(sched.ClassTest, "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatalf("both pre-enqueue routes picked %s — in-flight load invisible to the router", a.id)
-	}
-	env.d.routeDone(a)
-	env.d.routeDone(b)
-	// Released reservations stop counting: the next pick ties back to the
-	// first partition.
-	c, err := env.d.route(sched.ClassTest, "", "", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != env.d.fleet[0] {
-		t.Fatalf("after release, route picked %s, want first partition", c.id)
-	}
-	env.d.routeDone(c)
 }
 
 // TestFleetRejectsUnknownPin checks explicit device pins are validated.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hpcqc/internal/device"
 	"hpcqc/internal/sched"
 )
 
@@ -12,7 +13,7 @@ func newHintEnv(t *testing.T) *testEnv {
 	t.Helper()
 	env := newEnv(t)
 	d, err := NewDaemon(Config{
-		Device:           env.dev,
+		Devices:          []*device.Device{env.dev},
 		Clock:            env.clk,
 		AdminToken:       "admin-secret",
 		EnablePreemption: true,
@@ -168,7 +169,7 @@ func TestShortestFirstMeanWait(t *testing.T) {
 	run := func(order OrderPolicy) (meanWait time.Duration) {
 		env := newEnv(t)
 		d, err := NewDaemon(Config{
-			Device: env.dev, Clock: env.clk, AdminToken: "x",
+			Devices: []*device.Device{env.dev}, Clock: env.clk, AdminToken: "x",
 			Order: order, Seed: 1,
 		})
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"hpcqc/internal/device"
 	"hpcqc/internal/qir"
@@ -19,13 +18,36 @@ import (
 	"hpcqc/internal/telemetry"
 )
 
-// httpEnv hosts the daemon REST API on an httptest server with a background
-// clock pump so device execution progresses in (scaled) real time.
+// httpEnv hosts the daemon REST API on an httptest server. Nothing moves
+// the clock on wall time: requests sent through hc advance it with the
+// client's job-status polls (see pollClock).
 type httpEnv struct {
 	clk *simclock.Clock
 	dev *device.Device
 	d   *Daemon
 	ts  *httptest.Server
+	hc  *http.Client
+}
+
+// pollClock is an HTTP transport that jumps the simulation clock to its next
+// scheduled event before each job-status poll (GET /api/v1/jobs/{id}), so a
+// polling client sees its job progress one event per poll however slowly
+// the test machine runs.
+type pollClock struct{ clk *simclock.Clock }
+
+func (p pollClock) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/api/v1/jobs/") &&
+		!strings.HasSuffix(req.URL.Path, "/result") {
+		if next, ok := p.clk.NextEventAt(); ok {
+			p.clk.RunUntil(next)
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// pollingClient returns an HTTP client whose status polls advance clk.
+func pollingClient(clk *simclock.Clock) *http.Client {
+	return &http.Client{Transport: pollClock{clk: clk}}
 }
 
 func newHTTPEnv(t *testing.T) *httpEnv {
@@ -37,7 +59,7 @@ func newHTTPEnv(t *testing.T) *httpEnv {
 		t.Fatal(err)
 	}
 	d, err := NewDaemon(Config{
-		Device: dev, Clock: clk, AdminToken: "root-token",
+		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "root-token",
 		EnablePreemption: true, Registry: reg, Seed: 4,
 	})
 	if err != nil {
@@ -45,23 +67,15 @@ func newHTTPEnv(t *testing.T) *httpEnv {
 	}
 	ts := httptest.NewServer(d.Handler())
 	t.Cleanup(ts.Close)
-	// Pump: advance simulated time aggressively so polls see progress.
-	stop := make(chan struct{})
-	t.Cleanup(func() { close(stop) })
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-				clk.Advance(5 * time.Second)
-			}
-		}
-	}()
-	return &httpEnv{clk: clk, dev: dev, d: d, ts: ts}
+	return &httpEnv{clk: clk, dev: dev, d: d, ts: ts, hc: pollingClient(clk)}
 }
 
 func httpDo(t *testing.T, method, url, token string, body any) (int, []byte) {
+	t.Helper()
+	return httpDoWith(t, http.DefaultClient, method, url, token, body)
+}
+
+func httpDoWith(t *testing.T, hc *http.Client, method, url, token string, body any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -78,7 +92,7 @@ func httpDo(t *testing.T, method, url, token string, body any) (int, []byte) {
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +150,15 @@ func TestHTTPFullJobFlow(t *testing.T) {
 	}
 	json.Unmarshal(data, &job)
 
-	// Poll to completion.
-	deadline := time.Now().Add(5 * time.Second)
+	// Poll to completion; every poll advances the clock by one event.
 	var state string
-	for time.Now().Before(deadline) {
-		_, data = httpDo(t, "GET", env.ts.URL+"/api/v1/jobs/"+job.ID, sess.Token, nil)
+	for i := 0; i < 200 && state != "completed" && state != "failed"; i++ {
+		_, data = httpDoWith(t, env.hc, "GET", env.ts.URL+"/api/v1/jobs/"+job.ID, sess.Token, nil)
 		var st struct {
 			State string `json:"state"`
 		}
 		json.Unmarshal(data, &st)
 		state = st.State
-		if state == "completed" || state == "failed" {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	if state != "completed" {
 		t.Fatalf("final state = %s", state)
@@ -258,7 +267,7 @@ func TestHTTPBadRequests(t *testing.T) {
 
 func TestDaemonQRMIClient(t *testing.T) {
 	env := newHTTPEnv(t)
-	c, err := NewClient(env.ts.URL, "alice", sched.ClassProduction, nil)
+	c, err := NewClient(env.ts.URL, "alice", sched.ClassProduction, env.hc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ package daemon
 //	    │                within class, O(log n) per pop)
 //	    ▼
 //	[4] dispatch    per-partition dispatch loop — when to run, whom to
-//	                    preempt (production preempts lower classes; serial
-//	                    per device, concurrent across the fleet)
+//	                    preempt (production preempts lower classes; one
+//	                    daemon lock, so every stage is serial)
 //
 // Stages 2–4 were already independent policy axes; stage 1 closes the loop:
 // the SLO signals dispatch produces (waits, slowdowns) feed back into
@@ -111,11 +111,10 @@ func (e *RejectedError) Error() string {
 }
 
 // admissionView assembles the fleet-wide load snapshot an admission decision
-// consults — O(total backlog), one queue-lock acquisition per partition.
-// Called under admitMu, so decisions see serialized views; jobs admitted
-// concurrently but not yet queued (the routing in-flight window) are not
-// visible, which can overshoot depth caps by at most the number of in-flight
-// submissions — exact in single-goroutine replays.
+// consults — O(classes) per partition, one queue-lock acquisition each.
+// Called under d.mu, which a submission holds from admission to its queue
+// push, so every admitted job is visible to the next view and depth caps are
+// exact under concurrent submissions too.
 func (d *Daemon) admissionView() admission.View {
 	view := admission.View{
 		Devices: len(d.fleet),
@@ -135,22 +134,18 @@ func (d *Daemon) admissionView() admission.View {
 			}
 			view.ByClass[c] = load
 		}
-		ds.mu.Lock()
 		if ds.running != nil {
 			view.Running++
 		}
-		ds.mu.Unlock()
 	}
 	return view
 }
 
 // admitStage runs stage 1 for one submission: build the view (skipped for
 // policies that declare themselves Viewless), ask the policy, and count the
-// verdict. Decisions are serialized under admitMu so stateful policies
-// (token buckets, SLO windows) see submissions in order.
+// verdict. Decisions are serialized under d.mu so stateful policies (token
+// buckets, SLO windows) see submissions in order.
 func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
-	d.admitMu.Lock()
-	defer d.admitMu.Unlock()
 	var view admission.View
 	if _, skip := d.admitter.(admission.Viewless); !skip {
 		view = d.admissionView()
@@ -188,9 +183,7 @@ func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
 // well-behaved retrying clients (the frontier report models them), not a
 // guarantee: clamped to [1s, 24h] so it is always a usable backoff.
 func (d *Daemon) retryAfterHint(class sched.Class) float64 {
-	d.admitMu.Lock()
 	view := d.admissionView()
-	d.admitMu.Unlock()
 	var backlog float64
 	for c := class; c <= sched.ClassProduction; c++ {
 		backlog += view.ByClass[c].QueuedQPUSeconds
@@ -215,7 +208,6 @@ func (d *Daemon) retryAfterHint(class sched.Class) float64 {
 // surface the rejection, its reason and the retry-after backoff hint.
 func (d *Daemon) recordRejected(s *Session, token string, req SubmitRequest, dec admission.Decision, retryAfter float64) *Job {
 	now := d.cfg.Clock.Now()
-	d.mu.Lock()
 	j := &Job{
 		ID:                 d.allocJobIDLocked(),
 		Session:            token,
@@ -263,7 +255,6 @@ func (d *Daemon) recordRejected(s *Session, token string, req SubmitRequest, dec
 		}
 	}
 	d.notify(JobEventRejected, *j)
-	d.mu.Unlock()
 	return j
 }
 
@@ -278,8 +269,8 @@ func removeJobID(ids []string, id string) []string {
 }
 
 // feedWait feeds a started job's queue wait back into the admission policy
-// (stage 4 → stage 1 feedback). Caller may hold daemon locks; observers are
-// leaf code that must not call back in.
+// (stage 4 → stage 1 feedback). It runs under d.mu; observers are leaf code
+// that must not call back in.
 func (d *Daemon) feedWait(class sched.Class, wait time.Duration, at time.Duration) {
 	if d.admitObserver == nil {
 		return

@@ -142,7 +142,7 @@ type Device struct {
 	tasksFailed  int64
 	maintWindows int
 
-	// listener is notified on task terminal transitions (see SetTaskListener).
+	// listener is notified when a task ends on its own (see SetTaskListener).
 	listener func(deviceID, taskID string, state TaskState)
 
 	// telemetry handles (nil-safe)
@@ -150,11 +150,12 @@ type Device struct {
 	mTasks, mShots                     *telemetry.Metric
 }
 
-// SetTaskListener installs a callback invoked whenever a task reaches a
-// terminal state (completed, failed, cancelled). The callback receives the
-// device ID so one listener can route completions across a fleet of
-// partitions. The middleware daemon uses it to drive its second-level
-// dispatch without polling.
+// SetTaskListener installs a callback invoked whenever a task ends on its own
+// (completed or failed), outside the device lock. Cancel does not call it:
+// its caller learns the outcome from Cancel's return value. The callback
+// receives the device ID so one listener can route completions across a
+// fleet of partitions. The middleware daemon uses it to drive its
+// second-level dispatch without polling.
 func (d *Device) SetTaskListener(fn func(deviceID, taskID string, state TaskState)) {
 	d.mu.Lock()
 	d.listener = fn
@@ -500,7 +501,6 @@ func (d *Device) Cancel(id string) error {
 		d.mu.Unlock()
 		return fmt.Errorf("device: unknown task %q", id)
 	}
-	listener := d.listener
 	switch t.state {
 	case TaskQueued:
 		for i, q := range d.queue {
@@ -511,9 +511,6 @@ func (d *Device) Cancel(id string) error {
 		}
 		t.state = TaskCancelled
 		d.mu.Unlock()
-		if listener != nil {
-			listener(d.id, t.id, TaskCancelled)
-		}
 	case TaskRunning:
 		d.cfg.Clock.Cancel(t.event)
 		t.state = TaskCancelled
@@ -521,9 +518,6 @@ func (d *Device) Cancel(id string) error {
 		d.totalBusy += t.endAt - t.startAt
 		d.running = nil
 		d.mu.Unlock()
-		if listener != nil {
-			listener(d.id, t.id, TaskCancelled)
-		}
 		d.pump()
 	default:
 		d.mu.Unlock()

@@ -161,6 +161,31 @@ func TestCancelRunningStartsNext(t *testing.T) {
 	}
 }
 
+// TestCancelDoesNotNotifyListener: the task listener fires only for tasks
+// that end on their own; Cancel's caller learns the outcome from its return
+// value.
+func TestCancelDoesNotNotifyListener(t *testing.T) {
+	clk := simclock.New()
+	d := newTestDevice(t, clk)
+	var got []TaskState
+	d.SetTaskListener(func(_, _ string, st TaskState) { got = append(got, st) })
+	running, _ := d.Submit(testProgram(100))
+	queued, _ := d.Submit(testProgram(10))
+	if _, err := d.Submit(testProgram(10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Cancel(queued); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Cancel(running); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Minute)
+	if len(got) != 1 || got[0] != TaskCompleted {
+		t.Fatalf("listener saw %v, want only the completion of the uncancelled task", got)
+	}
+}
+
 func TestMaintenanceBlocksSubmission(t *testing.T) {
 	clk := simclock.New()
 	d := newTestDevice(t, clk)

@@ -45,7 +45,7 @@ func RunDurationHints(seed int64) ([]HintsRow, *Table, error) {
 			return nil, err
 		}
 		dmn, err := daemon.NewDaemon(daemon.Config{
-			Device: dev, Clock: clk, AdminToken: "admin",
+			Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin",
 			EnablePreemption: true, Order: order, Seed: seed,
 		})
 		if err != nil {
