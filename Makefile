@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-race bench bench-json bench-diff fuzz-smoke vet vet-trace check
+.PHONY: build test test-full test-race test-perfbench bench bench-json bench-diff fuzz-smoke vet vet-trace check
 
 # Where bench-diff writes its fresh recording; override for parallel runs.
 BENCH_FRESH ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/hpcqc_bench_fresh.json
@@ -24,6 +24,13 @@ test-race:
 	$(GO) test -race ./internal/daemon/... ./internal/admission/... ./internal/sched/... ./internal/device/... ./internal/emulator/... ./internal/qrmi/... ./cmd/qcsd/...
 	$(GO) test -race -short ./internal/loadgen/... .
 	$(GO) test -race -count=20 -run 'TestFleetConcurrent' ./internal/daemon
+
+# perfbench is its own Go module (replace hpcqc => ../), so `go test ./...`
+# at the root never compiles it. Its self-test runs every workload at tiny
+# size plus the corrupted-input checks, catching internal API changes the
+# benchmark depends on before the benchmark itself runs.
+test-perfbench:
+	cd perfbench && $(GO) test .
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -81,4 +88,4 @@ vet-trace:
 	$(GO) vet ./internal/trace/...
 	$(GO) test -race ./internal/trace/...
 
-check: vet vet-trace build test test-race
+check: vet vet-trace build test test-perfbench test-race

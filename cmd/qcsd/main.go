@@ -7,7 +7,6 @@
 //	qcsd [-listen :8080] [-admin-token TOKEN] [-seed N] [-timescale X]
 //	     [-devices N] [-router POLICY] [-admission POLICY] [-priority POLICY]
 //	     [-program-cache N] [-setup S]
-//	     [-slo-wait-target D] [-slo-warn-fraction F]
 //	     [-trace-buffer N] [-debug-listen ADDR]
 //
 // -timescale compresses simulated device time: X simulated seconds advance
@@ -30,10 +29,6 @@
 // -program-cache sizes each partition's calibration-warm program cache in
 // entries (0 disables it); -setup charges that many QPU seconds of cold
 // setup on every cache miss (requires -program-cache > 0).
-//
-// -slo-wait-target and -slo-warn-fraction override the slo-guard
-// controller's production p99 wait target and down-class pressure fraction
-// (they require -admission slo-guard).
 //
 // -trace-buffer sizes the flight recorder: the daemon retains the last N
 // terminal job traces for GET /api/v1/trace and `qctl trace <job>`
@@ -71,13 +66,8 @@ type node struct {
 }
 
 // nodeOptions carries the tunables beyond the core sextet newNode has always
-// taken — slo-guard controller overrides and the flight-recorder size.
+// taken — the flight-recorder size, the program cache and the priority axis.
 type nodeOptions struct {
-	// sloWaitTarget overrides the slo-guard production p99 wait target when
-	// positive; sloWarnFraction overrides its down-class pressure fraction
-	// when non-negative. Both require an slo-guard admission policy.
-	sloWaitTarget   time.Duration
-	sloWarnFraction float64
 	// traceBuffer is the flight recorder's terminal-trace ring size; zero or
 	// negative disables tracing entirely.
 	traceBuffer int
@@ -101,8 +91,7 @@ const defaultProgramCache = 64
 // main so tests can boot the same composition without sockets or flags.
 func newNode(adminToken string, seed int64, timescale float64, devices int, routerPolicy, admissionPolicy string) (*node, error) {
 	return newNodeOpts(adminToken, seed, timescale, devices, routerPolicy, admissionPolicy,
-		nodeOptions{sloWarnFraction: -1, traceBuffer: trace.DefaultFlightCapacity,
-			programCache: defaultProgramCache})
+		nodeOptions{traceBuffer: trace.DefaultFlightCapacity, programCache: defaultProgramCache})
 }
 
 func newNodeOpts(adminToken string, seed int64, timescale float64, devices int, routerPolicy, admissionPolicy string, opts nodeOptions) (*node, error) {
@@ -123,21 +112,6 @@ func newNodeOpts(adminToken string, seed int64, timescale float64, devices int, 
 	priority, err := daemon.NewPriority(opts.priority)
 	if err != nil {
 		return nil, fmt.Errorf("qcsd: %w", err)
-	}
-	if opts.sloWaitTarget > 0 || opts.sloWarnFraction >= 0 {
-		guard, ok := admitter.(*admission.SLOGuard)
-		if !ok {
-			return nil, fmt.Errorf("qcsd: -slo-wait-target/-slo-warn-fraction require -admission slo-guard (got %q)", admitter.Name())
-		}
-		if opts.sloWaitTarget > 0 {
-			guard.WaitTarget = opts.sloWaitTarget
-		}
-		if opts.sloWarnFraction >= 0 {
-			if opts.sloWarnFraction > 1 {
-				return nil, fmt.Errorf("qcsd: -slo-warn-fraction must be in [0, 1], got %g", opts.sloWarnFraction)
-			}
-			guard.WarnFraction = opts.sloWarnFraction
-		}
 	}
 	var flight *trace.FlightRecorder
 	if opts.traceBuffer > 0 {
@@ -195,15 +169,13 @@ func main() {
 	setupSeconds := flag.Float64("setup", 0, "cold-setup QPU seconds charged on a program-cache miss (requires -program-cache > 0)")
 	admissionPolicy := flag.String("admission", "accept-all", "admission policy (accept-all, queue-depth, token-bucket, slo-guard[:key=value...])")
 	priorityPolicy := flag.String("priority", "constant", "dynamic-urgency scheduling axis (constant, age, slo-urgency[:key=DUR...], edf[:key=DUR...])")
-	sloWait := flag.Duration("slo-wait-target", 0, "slo-guard production p99 wait target (0 = policy default; requires -admission slo-guard)")
-	sloWarn := flag.Float64("slo-warn-fraction", -1, "slo-guard down-class pressure fraction in [0,1] (-1 = policy default; requires -admission slo-guard)")
 	traceBuffer := flag.Int("trace-buffer", trace.DefaultFlightCapacity, "flight recorder size: retained terminal job traces (0 disables tracing)")
 	debugListen := flag.String("debug-listen", "", "serve net/http/pprof on this address (empty = off)")
 	flag.Parse()
 
 	n, err := newNodeOpts(*adminToken, *seed, *timescale, *devices, *router, *admissionPolicy,
-		nodeOptions{sloWaitTarget: *sloWait, sloWarnFraction: *sloWarn, traceBuffer: *traceBuffer,
-			programCache: *programCache, setupSeconds: *setupSeconds, priority: *priorityPolicy})
+		nodeOptions{traceBuffer: *traceBuffer, programCache: *programCache,
+			setupSeconds: *setupSeconds, priority: *priorityPolicy})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -30,6 +30,29 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 }
 
+// TestNodeInlineSLOGuardTuning: the slo-guard controller is tuned through
+// the -admission spelling alone, which the daemon keeps as the policy name
+// (status reports, span annotations and the rejected-total metric label
+// therefore show the tuning), and the policy's range checks still apply.
+func TestNodeInlineSLOGuardTuning(t *testing.T) {
+	const tuned = "slo-guard:wait=45s:warn=0.7"
+	n, err := newNode("secret", 7, 10, 2, "least-loaded", tuned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.d.AdmissionName(); got != tuned {
+		t.Fatalf("AdmissionName() = %q, want %q", got, tuned)
+	}
+	if got := n.d.AdminStatus().Admission; got != tuned {
+		t.Fatalf("status admission = %q, want %q", got, tuned)
+	}
+	for _, bad := range []string{"slo-guard:warn=1.5", "slo-guard:wait=-1s", "accept-all:wait=45s"} {
+		if _, err := newNode("secret", 7, 10, 1, "least-loaded", bad); err == nil {
+			t.Fatalf("admission %q accepted", bad)
+		}
+	}
+}
+
 // TestNodeFleetComposition boots a multi-partition node and checks the
 // partitions surface through the fleet listing endpoint.
 func TestNodeFleetComposition(t *testing.T) {

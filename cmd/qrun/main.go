@@ -10,17 +10,28 @@
 //
 // The program file holds a serialized qir.Program. Demo programs are built
 // in so the tool is usable without authoring JSON by hand.
+//
+// Besides the built-in emulator and direct-QPU types, a profile file may
+// bind the middleware daemon ("resource_type": "daemon", with
+// daemon_endpoint, daemon_user and daemon_class) or a cloud service
+// ("resource_type": "cloud", with cloud_endpoint, cloud_device and
+// cloud_token) — the production path behind --qpu.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
 
+	// The daemon and cloud QRMI resource types register in their packages'
+	// init functions; linking them in lets profiles bind either.
+	_ "hpcqc/internal/cloud"
 	"hpcqc/internal/core"
+	_ "hpcqc/internal/daemon"
 	"hpcqc/internal/qir"
 )
 
@@ -32,24 +43,25 @@ func main() {
 	demo := flag.String("demo", "", "built-in demo program: bell, pipulse, adiabatic")
 	flag.Parse()
 
-	if err := run(*qpu, *profiles, *demo, *shots, *seed, flag.Args()); err != nil {
+	if err := run(os.Stdout, *qpu, *profiles, *demo, *shots, *seed, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "qrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(qpu, profilesPath, demo string, shots int, seed int64, args []string) error {
+// run binds the resource, executes the program and writes the report to w.
+func run(w io.Writer, qpu, profilesPath, demo string, shots int, seed int64, args []string) error {
 	environ := append(os.Environ(), fmt.Sprintf("QRMI_SEED=%d", seed))
 	rt, err := core.NewRuntimeFor(qpu, profilesPath, environ)
 	if err != nil {
 		return err
 	}
 	spec := rt.Spec()
-	fmt.Printf("target: %s (max %d qubits", rt.Target(), spec.MaxQubits)
+	fmt.Fprintf(w, "target: %s (max %d qubits", rt.Target(), spec.MaxQubits)
 	if spec.ShotRateHz > 0 {
-		fmt.Printf(", %g Hz shot rate", spec.ShotRateHz)
+		fmt.Fprintf(w, ", %g Hz shot rate", spec.ShotRateHz)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(w, ")")
 
 	var program *qir.Program
 	switch {
@@ -75,7 +87,7 @@ func run(qpu, profilesPath, demo string, shots int, seed int64, args []string) e
 	if err != nil {
 		return err
 	}
-	printResult(res)
+	printResult(w, res)
 	return nil
 }
 
@@ -112,7 +124,7 @@ func demoProgram(name string, shots int) (*qir.Program, error) {
 	}
 }
 
-func printResult(res *qir.Result) {
+func printResult(w io.Writer, res *qir.Result) {
 	type kv struct {
 		bits string
 		n    int
@@ -128,21 +140,21 @@ func printResult(res *qir.Result) {
 		return rows[a].bits < rows[b].bits
 	})
 	total := res.Counts.TotalShots()
-	fmt.Printf("counts (%d shots):\n", total)
+	fmt.Fprintf(w, "counts (%d shots):\n", total)
 	for i, r := range rows {
 		if i >= 12 {
-			fmt.Printf("  ... %d more outcomes\n", len(rows)-i)
+			fmt.Fprintf(w, "  ... %d more outcomes\n", len(rows)-i)
 			break
 		}
-		fmt.Printf("  %s  %6d  (%.3f)\n", r.bits, r.n, float64(r.n)/float64(total))
+		fmt.Fprintf(w, "  %s  %6d  (%.3f)\n", r.bits, r.n, float64(r.n)/float64(total))
 	}
 	keys := make([]string, 0, len(res.Metadata))
 	for k := range res.Metadata {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fmt.Println("metadata:")
+	fmt.Fprintln(w, "metadata:")
 	for _, k := range keys {
-		fmt.Printf("  %s = %s\n", k, res.Metadata[k])
+		fmt.Fprintf(w, "  %s = %s\n", k, res.Metadata[k])
 	}
 }

@@ -2,11 +2,20 @@ package main
 
 import (
 	"encoding/json"
+	"go/build"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"hpcqc/internal/daemon"
+	"hpcqc/internal/device"
 	"hpcqc/internal/qir"
+	"hpcqc/internal/simclock"
 )
 
 func TestDemoPrograms(t *testing.T) {
@@ -28,7 +37,7 @@ func TestDemoPrograms(t *testing.T) {
 }
 
 func TestRunDemoOnLocalEmulator(t *testing.T) {
-	if err := run("local-sv", "", "bell", 20, 1, nil); err != nil {
+	if err := run(io.Discard, "local-sv", "", "bell", 20, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,24 +52,92 @@ func TestRunProgramFile(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("local-sv", "", "", 0, 2, []string{path}); err != nil {
+	if err := run(io.Discard, "local-sv", "", "", 0, 2, []string{path}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRunDemoThroughDaemonProfile binds qrun to the middleware through a
+// "daemon" profile — the --qpu path to production — and runs the bell demo
+// on an httptest daemon serving one digital partition. The server jumps the
+// simulation clock to its next event before each job-status poll, so the
+// job advances one event per poll however slowly the machine runs.
+func TestRunDemoThroughDaemonProfile(t *testing.T) {
+	clk := simclock.New()
+	dev, err := device.New(device.Config{Clock: clk, Seed: 5, Spec: qir.DefaultDigitalSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := daemon.NewDaemon(daemon.Config{Devices: []*device.Device{dev}, Clock: clk, AdminToken: "adm", EnablePreemption: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := d.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/api/v1/jobs/") &&
+			!strings.HasSuffix(r.URL.Path, "/result") {
+			if next, ok := clk.NextEventAt(); ok {
+				clk.RunUntil(next)
+			}
+		}
+		api.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	raw, err := json.Marshal(map[string]any{"profiles": map[string]any{"site-daemon": map[string]string{
+		"resource_type":   "daemon",
+		"daemon_endpoint": ts.URL,
+		"daemon_user":     "alice",
+		"daemon_class":    "production",
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "qrmi.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(&out, "site-daemon", path, "bell", 40, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "counts (40 shots):") {
+		t.Fatalf("qrun output lacks the 40-shot total:\n%s", out.String())
+	}
+	jobs := d.ListJobs()
+	if len(jobs) != 1 || jobs[0].State != daemon.JobCompleted || jobs[0].User != "alice" {
+		t.Fatalf("daemon jobs = %+v", jobs)
+	}
+}
+
+// TestResourceTypesLinked: the daemon and cloud QRMI resource types register
+// in their packages' init functions. This test binary imports the daemon
+// package itself, so the profile test above would pass even if qrun did not;
+// the command's own imports must carry both.
+func TestResourceTypesLinked(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"hpcqc/internal/daemon", "hpcqc/internal/cloud"} {
+		if !slices.Contains(pkg.Imports, want) {
+			t.Errorf("qrun does not import %s, so profiles cannot bind its resource type", want)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
-	if err := run("ghost-resource", "", "bell", 10, 1, nil); err == nil {
+	if err := run(io.Discard, "ghost-resource", "", "bell", 10, 1, nil); err == nil {
 		t.Fatal("unknown resource accepted")
 	}
-	if err := run("local-sv", "", "", 10, 1, nil); err == nil {
+	if err := run(io.Discard, "local-sv", "", "", 10, 1, nil); err == nil {
 		t.Fatal("missing program accepted")
 	}
-	if err := run("local-sv", "", "", 10, 1, []string{"/does/not/exist.json"}); err == nil {
+	if err := run(io.Discard, "local-sv", "", "", 10, 1, []string{"/does/not/exist.json"}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(bad, []byte("not json"), 0o644)
-	if err := run("local-sv", "", "", 10, 1, []string{bad}); err == nil {
+	if err := run(io.Discard, "local-sv", "", "", 10, 1, []string{bad}); err == nil {
 		t.Fatal("bad file accepted")
 	}
 }
@@ -70,7 +147,7 @@ func TestPrintResultHandlesManyOutcomes(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		counts[bitstringOf(i)] = i + 1
 	}
-	printResult(&qir.Result{Counts: counts, Metadata: map[string]string{"backend": "x"}})
+	printResult(io.Discard, &qir.Result{Counts: counts, Metadata: map[string]string{"backend": "x"}})
 }
 
 func bitstringOf(i int) string {

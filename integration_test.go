@@ -8,6 +8,7 @@ package hpcqc
 import (
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -140,6 +141,22 @@ func jsonNumber(s string, out *int) (bool, error) {
 	return true, json.Unmarshal([]byte(s), out)
 }
 
+// pollClock is an HTTP transport that jumps the simulation clock to its next
+// scheduled event before each job-status poll (GET /api/v1/jobs/{id}), so a
+// polling client sees its job progress one event per poll however slowly
+// the test machine runs.
+type pollClock struct{ clk *simclock.Clock }
+
+func (p pollClock) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/api/v1/jobs/") &&
+		!strings.HasSuffix(req.URL.Path, "/result") {
+		if next, ok := p.clk.NextEventAt(); ok {
+			p.clk.RunUntil(next)
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // TestRuntimeAgainstDaemonHTTP binds the portable runtime to the daemon via
 // its HTTP client resource and runs the same program that runs on local
 // emulators — the daemon is just another --qpu target.
@@ -155,20 +172,9 @@ func TestRuntimeAgainstDaemonHTTP(t *testing.T) {
 	}
 	ts := httptest.NewServer(dmn.Handler())
 	defer ts.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-				clk.Advance(5 * time.Second)
-			}
-		}
-	}()
 
-	client, err := daemon.NewClient(ts.URL, "carol", sched.ClassProduction, nil)
+	client, err := daemon.NewClient(ts.URL, "carol", sched.ClassProduction,
+		&http.Client{Transport: pollClock{clk: clk}})
 	if err != nil {
 		t.Fatal(err)
 	}

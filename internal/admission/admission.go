@@ -75,15 +75,15 @@ type ClassLoad struct {
 }
 
 // View is the fleet-wide load snapshot a decision may consult. It is
-// assembled by the daemon under its routing lock, so concurrent submissions
+// assembled by the daemon under its one lock, so concurrent submissions
 // see consistent (serialized) views.
 type View struct {
 	// Devices is the fleet partition count; depth caps scale with it.
 	Devices int
 	// Running counts jobs executing fleet-wide.
 	Running int
-	// ByClass maps each class to its backlog.
-	ByClass map[sched.Class]ClassLoad
+	// ByClass is each class's backlog, indexed by sched.Class.
+	ByClass [sched.ClassProduction + 1]ClassLoad
 }
 
 // Decision is the stage output. Class is the effective class the job
@@ -135,17 +135,6 @@ type Signal struct {
 type Observer interface {
 	Observe(Signal)
 }
-
-// Viewless marks policies whose Admit never reads the View. Assembling the
-// fleet load snapshot costs O(total backlog) per submission (every queue is
-// scanned for depth and oldest age), so the daemon skips it for policies
-// that declare they decide from the request and clock alone.
-type Viewless interface {
-	Viewless()
-}
-
-// Viewless implements the marker: accept-all decides from nothing at all.
-func (AcceptAll) Viewless() {}
 
 // AcceptAll is the default policy: today's behavior, every valid submission
 // enters the system.

@@ -42,9 +42,8 @@ func TestNewPolicyNames(t *testing.T) {
 
 func TestQueueDepthCaps(t *testing.T) {
 	p := &QueueDepth{PerDeviceDepth: 2, MaxAge: 10 * time.Minute}
-	view := View{Devices: 2, ByClass: map[sched.Class]ClassLoad{
-		sched.ClassDev: {Queued: 4}, // at the 2×2 cap
-	}}
+	view := View{Devices: 2}
+	view.ByClass[sched.ClassDev] = ClassLoad{Queued: 4} // at the 2×2 cap
 	dec := p.Admit(devReq(0), view)
 	if dec.Outcome != Rejected || !strings.Contains(dec.Reason, "queue-depth") {
 		t.Fatalf("depth cap did not reject: %+v", dec)
@@ -127,7 +126,7 @@ func feedProductionWaits(g *SLOGuard, n int, w float64, at time.Duration) {
 
 func TestSLOGuardTiers(t *testing.T) {
 	g := NewSLOGuard()
-	view := View{ByClass: map[sched.Class]ClassLoad{}}
+	view := View{}
 
 	// No signals: everything is accepted.
 	if dec := g.Admit(devReq(0), view); dec.Outcome != Accepted {
@@ -174,9 +173,8 @@ func TestSLOGuardBacklogAgeLeadingIndicator(t *testing.T) {
 	g := NewSLOGuard()
 	// No wait/slowdown samples at all — only a production job queued for
 	// longer than the target. The guard must still react.
-	view := View{ByClass: map[sched.Class]ClassLoad{
-		sched.ClassProduction: {Queued: 1, OldestAge: 2 * time.Minute},
-	}}
+	var view View
+	view.ByClass[sched.ClassProduction] = ClassLoad{Queued: 1, OldestAge: 2 * time.Minute}
 	if dec := g.Admit(devReq(time.Minute), view); dec.Outcome != Rejected {
 		t.Fatalf("stale production backlog did not shed dev: %+v", dec)
 	}
@@ -225,15 +223,15 @@ func TestNewPolicyParameterizedSLOGuard(t *testing.T) {
 
 func TestNewPolicyParameterErrors(t *testing.T) {
 	for _, name := range []string{
-		"slo-guard:wait=0s",       // non-positive target
-		"slo-guard:wait=banana",   // unparseable duration
-		"slo-guard:warn=1.5",      // fraction out of range
-		"slo-guard:shed=0.5",      // below 1
-		"slo-guard:min=0",         // non-positive
-		"slo-guard:wait",          // not key=value
-		"slo-guard:p99=10s",       // unknown key
-		"token-bucket:rate=5",     // non-parameterizable policy
-		"accept-all:x=1",          // non-parameterizable policy
+		"slo-guard:wait=0s",     // non-positive target
+		"slo-guard:wait=banana", // unparseable duration
+		"slo-guard:warn=1.5",    // fraction out of range
+		"slo-guard:shed=0.5",    // below 1
+		"slo-guard:min=0",       // non-positive
+		"slo-guard:wait",        // not key=value
+		"slo-guard:p99=10s",     // unknown key
+		"token-bucket:rate=5",   // non-parameterizable policy
+		"accept-all:x=1",        // non-parameterizable policy
 	} {
 		if _, err := NewPolicy(name); err == nil {
 			t.Errorf("NewPolicy(%q) accepted", name)

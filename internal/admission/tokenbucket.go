@@ -53,9 +53,6 @@ func NewTokenBucketWith(quotas map[sched.Class]Quota) *TokenBucket {
 // Name implements Policy.
 func (p *TokenBucket) Name() string { return "token-bucket" }
 
-// Viewless implements the marker: buckets refill from the clock alone.
-func (p *TokenBucket) Viewless() {}
-
 // Admit implements Policy.
 func (p *TokenBucket) Admit(req Request, _ View) Decision {
 	if req.Class == sched.ClassProduction {

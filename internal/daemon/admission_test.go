@@ -307,8 +307,9 @@ func TestMalformedSubmitSparesQuota(t *testing.T) {
 	}
 }
 
-// TestRejectedHistoryBounded: a rejection flood keeps only the newest
-// records while the lifetime counter keeps counting.
+// TestRejectedHistoryBounded: a rejection flood past the retention bound
+// keeps only the newest rejectedHistory records while the lifetime counter
+// keeps counting.
 func TestRejectedHistoryBounded(t *testing.T) {
 	clk := simclock.New()
 	dev, err := device.New(device.Config{Clock: clk, Seed: 1, DriftInterval: time.Hour})
@@ -317,8 +318,7 @@ func TestRejectedHistoryBounded(t *testing.T) {
 	}
 	d, err := NewDaemon(Config{
 		Devices: []*device.Device{dev}, Clock: clk, AdminToken: "admin", Seed: 3,
-		Admission:       oneShotBucket(),
-		RejectedHistory: 3,
+		Admission: oneShotBucket(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +330,9 @@ func TestRejectedHistoryBounded(t *testing.T) {
 	if _, err := d.Submit(s.Token, SubmitRequest{Program: payload(t, 50), Class: sched.ClassDev}); err != nil {
 		t.Fatal(err)
 	}
+	const flood = rejectedHistory + 10
 	var ids []string
-	for i := 0; i < 10; i++ {
+	for i := 0; i < flood; i++ {
 		_, err := d.Submit(s.Token, SubmitRequest{Program: payload(t, 50), Class: sched.ClassDev})
 		var rej *RejectedError
 		if !errors.As(err, &rej) {
@@ -339,24 +340,28 @@ func TestRejectedHistoryBounded(t *testing.T) {
 		}
 		ids = append(ids, rej.Job.ID)
 	}
-	if st := d.AdminStatus(); st.Rejected != 10 {
-		t.Fatalf("lifetime rejected = %d, want 10", st.Rejected)
+	if st := d.AdminStatus(); st.Rejected != flood {
+		t.Fatalf("lifetime rejected = %d, want %d", st.Rejected, flood)
 	}
-	// Only the newest 3 records remain queryable; older ones are pruned.
-	for _, id := range ids[len(ids)-3:] {
+	// Only the newest rejectedHistory records remain queryable; older ones
+	// are pruned.
+	for _, id := range ids[flood-rejectedHistory:] {
 		if _, err := d.JobStatus(s.Token, id); err != nil {
 			t.Fatalf("recent rejected record %s pruned: %v", id, err)
 		}
 	}
-	for _, id := range ids[:len(ids)-3] {
+	for _, id := range ids[:flood-rejectedHistory] {
 		if _, err := d.JobStatus(s.Token, id); err == nil {
 			t.Fatalf("old rejected record %s not pruned", id)
 		}
 	}
 	// The session's job list is pruned with the records: one accepted job
-	// plus at most RejectedHistory rejected IDs.
-	if n := len(s.Jobs); n != 4 {
-		t.Fatalf("session job list has %d entries, want 4 (1 accepted + 3 retained rejects)", n)
+	// plus rejectedHistory retained rejected IDs.
+	if n := len(s.Jobs); n != 1+rejectedHistory {
+		t.Fatalf("session job list has %d entries, want %d (1 accepted + %d retained rejects)", n, 1+rejectedHistory, rejectedHistory)
+	}
+	if n := len(d.jobs); n != 1+rejectedHistory {
+		t.Fatalf("daemon retains %d job records, want %d", n, 1+rejectedHistory)
 	}
 }
 

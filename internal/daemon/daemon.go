@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -241,12 +242,6 @@ type Config struct {
 	// key computed at enqueue, with the order policy breaking key ties.
 	// Defaults to the constant policy, under which the order alone decides.
 	Priority PriorityPolicy
-	// RejectedHistory bounds how many terminal rejected job records are
-	// retained for status queries (default 1024). Admission exists to
-	// absorb floods, so the flood's rejection records must not grow daemon
-	// memory without bound; the oldest records are pruned first, while
-	// counters and lifecycle events still see every rejection.
-	RejectedHistory int
 	// Clock is the simulation clock shared with the devices. Required.
 	Clock *simclock.Clock
 	// AdminToken authenticates the admin plane. Required for admin APIs.
@@ -315,9 +310,6 @@ type deviceState struct {
 	id    string
 	dev   *device.Device
 	queue *sched.ClassQueue
-	// spec is the partition's device spec, snapshotted once at construction
-	// (specs are immutable) so routing does not copy it per pick.
-	spec qir.DeviceSpec
 	// cache is the partition's calibration-warm program cache, nil when
 	// Config.ProgramCache is zero. It carries its own mutex (a leaf lock:
 	// nothing is acquired under it).
@@ -359,6 +351,10 @@ type Daemon struct {
 	// (validated through device.FleetOf) with scheduling state layered on.
 	fleet    []*deviceState
 	byDevice map[string]*deviceState
+	// spec is the one device spec every partition shares (NewDaemon rejects
+	// mixed fleets), so a submission is validated and estimated once,
+	// wherever it is routed or requeued.
+	spec qir.DeviceSpec
 
 	// mu is the daemon's one lock. It guards sessions, jobs and their
 	// fields, the partitions' running slots, the accounting maps, and the
@@ -384,7 +380,7 @@ type Daemon struct {
 	usage *sched.Usage
 	// rejectedTotal counts every admission shed over the daemon's lifetime;
 	// rejectedIDs is the FIFO of retained rejected job records, pruned at
-	// cfg.RejectedHistory.
+	// rejectedHistory.
 	rejectedTotal int
 	rejectedIDs   []string
 
@@ -479,9 +475,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.SetupSeconds > 0 && cfg.ProgramCache == 0 {
 		return nil, errors.New("daemon: SetupSeconds requires ProgramCache > 0 (without a cache every dispatch would pay setup)")
 	}
-	if cfg.RejectedHistory <= 0 {
-		cfg.RejectedHistory = 1024
-	}
 	router := cfg.Router
 	if router == nil {
 		router = NewLeastLoadedRouter()
@@ -526,12 +519,16 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
+	d.spec = fleet.Devices()[0].Spec()
 	for _, dev := range fleet.Devices() {
+		if !reflect.DeepEqual(dev.Spec(), d.spec) {
+			return nil, fmt.Errorf("daemon: partition %q's device spec differs from partition %q's (a fleet shares one spec)",
+				dev.ID(), d.fleet[0].id)
+		}
 		ds := &deviceState{
 			id:    dev.ID(),
 			dev:   dev,
 			queue: sched.NewClassQueue(order.tieBreak(priority), d.usage),
-			spec:  dev.Spec(),
 			cache: newProgLRU(cfg.ProgramCache),
 		}
 		d.fleet = append(d.fleet, ds)
@@ -716,8 +713,9 @@ type SubmitRequest struct {
 }
 
 // Submit walks a submission through the four pipeline stages (see
-// pipeline.go): admission decides whether — and at what class — the job
-// enters, routing picks its partition, queueing inserts it under the
+// pipeline.go): the program is decoded, validated and estimated once against
+// the fleet's one spec, then admission decides whether — and at what class —
+// the job enters, routing picks its partition, queueing inserts it under the
 // within-class order, and dispatch runs the partition's loop. A shed
 // submission returns a *RejectedError carrying the terminal rejected job
 // record.
@@ -744,62 +742,29 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	if traced {
 		tSubmit = d.cfg.Clock.Now()
 	}
-	// Validation precedes admission so a submission no partition could run
-	// (bad pin, undecodable or invalid program) cannot drain a stateful
-	// policy's quota: tokens are spent only on submissions some partition
-	// could execute. The pinned device's spec is authoritative for pins;
-	// otherwise any one fleet spec accepting the program suffices. Residual
-	// (heterogeneous fleets only): a spec-blind router may still land on a
-	// partition whose re-check below fails after admission spent the token —
-	// capability-aware routing is the open ROADMAP fix.
+	// Validation precedes admission so a submission the fleet cannot run
+	// (undecodable, bad pin, invalid program) cannot drain a stateful
+	// policy's quota. Every partition shares d.spec, so the one check holds
+	// wherever routing or a later requeue places the job.
 	prog, progHash, err := cachedProgram(req.Program)
 	if err != nil {
 		return nil, err
 	}
-	var vspec qir.DeviceSpec
+	var pinned *deviceState
 	if req.Device != "" {
-		pinned, err := d.lookupDevice(req.Device)
-		if err != nil {
+		if pinned, err = d.lookupDevice(req.Device); err != nil {
 			return nil, err
 		}
-		vspec = pinned.dev.Spec()
-		if err := qir.ValidateCached(prog, &vspec); err != nil {
-			return nil, fmt.Errorf("daemon: program rejected: %w", err)
-		}
-	} else {
-		var lastErr error
-		found := false
-		var seen map[string]bool
-		for _, ds := range d.fleet {
-			sp := ds.dev.Spec()
-			if seen[sp.Name] {
-				continue
-			}
-			if len(d.fleet) > 1 {
-				if seen == nil {
-					seen = make(map[string]bool, 1)
-				}
-				seen[sp.Name] = true
-			}
-			if err := qir.ValidateCached(prog, &sp); err != nil {
-				lastErr = err
-				continue
-			}
-			vspec = sp
-			found = true
-			break
-		}
-		if !found {
-			return nil, fmt.Errorf("daemon: program rejected: %w", lastErr)
-		}
+	}
+	if err := qir.ValidateCached(prog, &d.spec); err != nil {
+		return nil, fmt.Errorf("daemon: program rejected: %w", err)
 	}
 	// Resolve the duration hint before admission too, so policies — and the
 	// terminal record of a shed submission — see the daemon's estimate, not
-	// a missing hint. The estimate is re-derived below if routing lands on
-	// a different spec.
+	// a missing hint.
 	estimated := req.ExpectedQPUSeconds == 0
 	if estimated {
-		req.ExpectedQPUSeconds = prog.EstimatedQPUSeconds(&vspec)
+		req.ExpectedQPUSeconds = prog.EstimatedQPUSeconds(&d.spec)
 	}
 	if traced {
 		tValidate = d.cfg.Clock.Now()
@@ -844,22 +809,30 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 		return nil, fmt.Errorf("daemon: admission policy %q returned unknown outcome %q", d.admitter.Name(), dec.Outcome)
 	}
 	class := dec.Class
-	// Stage 2: routing.
-	ds, err := d.route(class, req.Pattern, req.Device, prog, progHash)
-	if err != nil {
-		return nil, err
+	j := newJob()
+	*j = Job{
+		Session:            token,
+		User:               s.User,
+		Class:              class,
+		RequestedClass:     req.Class,
+		Pattern:            req.Pattern,
+		Source:             defaultSource(req.Source),
+		Pinned:             pinned != nil,
+		ExpectedQPUSeconds: req.ExpectedQPUSeconds,
+		State:              JobQueued,
+		DeadlineSeconds:    req.DeadlineSeconds,
+		prog:               prog,
+		progHash:           progHash,
 	}
-	// Heterogeneous fleets only: the router may land on a different spec
-	// than the one validated pre-admission. Re-check so users get immediate
-	// feedback instead of a failed device task later, and re-derive a
-	// daemon-made duration estimate against the device that will actually
-	// run the job (a submitter-declared hint is never touched).
-	if spec := ds.dev.Spec(); spec.Name != vspec.Name {
-		if err := qir.ValidateCached(prog, &spec); err != nil {
-			return nil, fmt.Errorf("daemon: program rejected: %w", err)
-		}
-		if estimated {
-			req.ExpectedQPUSeconds = prog.EstimatedQPUSeconds(&spec)
+	if dec.Outcome != admission.Accepted {
+		j.AdmissionOutcome = string(dec.Outcome)
+		j.AdmissionReason = dec.Reason
+	}
+	// Stage 2: routing. A pin bypasses the router.
+	ds := pinned
+	if ds == nil {
+		if ds, err = d.route(j); err != nil {
+			return nil, err
 		}
 	}
 	// Tighten the daemon-made estimate with the setup model: a cold dispatch
@@ -870,32 +843,13 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	// (Submitter-declared hints are never touched; SetupSeconds > 0 implies
 	// caching is on, so the cache-less path is unchanged.)
 	if estimated && d.cfg.SetupSeconds > 0 && !ds.cache.contains(progHash) {
-		req.ExpectedQPUSeconds += d.cfg.SetupSeconds
+		j.ExpectedQPUSeconds += d.cfg.SetupSeconds
 	}
 	now := d.cfg.Clock.Now()
-	j := newJob()
-	*j = Job{
-		ID:                 d.allocJobIDLocked(),
-		Session:            token,
-		User:               s.User,
-		Class:              class,
-		RequestedClass:     req.Class,
-		Pattern:            req.Pattern,
-		Source:             defaultSource(req.Source),
-		Device:             ds.id,
-		Pinned:             req.Device != "",
-		ExpectedQPUSeconds: req.ExpectedQPUSeconds,
-		State:              JobQueued,
-		DeadlineSeconds:    req.DeadlineSeconds,
-		SubmittedAt:        now,
-		prog:               prog,
-		progHash:           progHash,
-		enqueuedAt:         now,
-	}
-	if dec.Outcome != admission.Accepted {
-		j.AdmissionOutcome = string(dec.Outcome)
-		j.AdmissionReason = dec.Reason
-	}
+	j.ID = d.allocJobIDLocked()
+	j.Device = ds.id
+	j.SubmittedAt = now
+	j.enqueuedAt = now
 	d.jobs[j.ID] = j
 	s.Jobs = append(s.Jobs, j.ID)
 	// "submitted" always precedes "started" in listener order.
@@ -903,7 +857,7 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	if traced {
 		cls := class.String()
 		routeDetail := d.router.Name()
-		if req.Device != "" {
+		if pinned != nil {
 			routeDetail = "pinned"
 		}
 		d.emitSpan(trace.Span{Job: j.ID, Stage: trace.StageValidate, Class: cls, Start: tSubmit, End: tValidate})
@@ -924,20 +878,14 @@ func (d *Daemon) Submit(token string, req SubmitRequest) (*Job, error) {
 	return &cp, nil
 }
 
-// route picks the target partition. An explicit pin wins; otherwise the
-// router chooses from a point-in-time fleet snapshot. The chosen class,
-// pattern and program identity travel on a throwaway job record so routers
-// can specialize — the affinity scorer probes partition caches by
-// fingerprint, the capability scorer validates the decoded program — without
-// the daemon pre-creating the real one.
-func (d *Daemon) route(class sched.Class, pattern sched.Pattern, pin string, prog *qir.Program, progHash uint64) (*deviceState, error) {
-	switch {
-	case pin != "":
-		return d.lookupDevice(pin)
-	case len(d.fleet) == 1:
+// route asks the router for an unpinned job's partition from a point-in-time
+// fleet snapshot. Routers see the job's own record — class, pattern and
+// program fingerprint set; ID, device and submission time not yet.
+func (d *Daemon) route(j *Job) (*deviceState, error) {
+	if len(d.fleet) == 1 {
 		return d.fleet[0], nil
 	}
-	idx := d.router.Pick(&Job{Class: class, Pattern: pattern, prog: prog, progHash: progHash}, d.fleetInfosLocked())
+	idx := d.router.Pick(j, d.fleetInfosLocked())
 	if idx < 0 || idx >= len(d.fleet) {
 		return nil, fmt.Errorf("daemon: router %q picked invalid device index %d", d.router.Name(), idx)
 	}
@@ -956,7 +904,6 @@ func (d *Daemon) fleetInfosLocked() []DeviceInfo {
 			Status: ds.dev.Status(),
 			Queued: ds.queue.Len(),
 			cache:  ds.cache,
-			spec:   &ds.spec,
 		}
 		if ds.running != nil {
 			infos[i].Busy = true
@@ -1083,10 +1030,10 @@ func (d *Daemon) dispatchOnce(ds *deviceState) bool {
 			}
 		}
 	}
-	// The program was decoded at submission and validated against this
-	// partition's spec (requeue only ever targets same-spec partitions), so
-	// dispatch reuses the decode. The task is registered in this same hold,
-	// so its completion cannot overtake the bookkeeping.
+	// The program was decoded at submission and validated against the
+	// fleet's one spec, so dispatch reuses the decode on any partition. The
+	// task is registered in this same hold, so its completion cannot
+	// overtake the bookkeeping.
 	taskID, err := ds.dev.SubmitWithSetup(j.prog, setup)
 	if err != nil {
 		// Submission failed (validation drift, maintenance window, ...).
@@ -1220,25 +1167,21 @@ func (d *Daemon) onDeviceTask(deviceID, taskID string, state device.TaskState) {
 
 // requeuePartition picks where a preempted job waits next. The job stays on
 // its original partition unless it is unpinned, the fleet has more than one
-// partition, AND some other same-spec partition is completely idle — then the
-// router re-picks from a fresh fleet snapshot (the first ROADMAP follow-up:
-// work lost to preemption flows to idle capacity instead of queueing behind
-// its preemptor). The router's pick is honored only when it lands on such an
-// idle partition: a load-blind pick (round-robin pointing at a backlogged
-// partition) must not strand the victim somewhere worse than where it was.
+// partition, AND some other partition is completely idle — then the router
+// re-picks for the job from a fresh fleet snapshot (work lost to preemption
+// flows to idle capacity instead of queueing behind its preemptor). The
+// router's pick is honored only when it lands on such an idle partition: a
+// load-blind pick (round-robin pointing at a backlogged partition) must not
+// strand the victim somewhere worse than where it was.
 func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	if len(d.fleet) == 1 || j.Pinned {
 		return orig
 	}
-	origSpec := orig.dev.Spec().Name
 	infos := d.fleetInfosLocked()
 	// idleTarget reports whether partition i can absorb the victim now: not
-	// the original, online, zero load, and the same spec the job's program
-	// was validated against (heterogeneous fleets may mix specs).
+	// the original, online, and zero load.
 	idleTarget := func(i int) bool {
-		ds := d.fleet[i]
-		return ds != orig && infos[i].Status == device.StatusOnline &&
-			infos[i].load() == 0 && ds.dev.Spec().Name == origSpec
+		return d.fleet[i] != orig && infos[i].Status == device.StatusOnline && infos[i].load() == 0
 	}
 	idleElsewhere := false
 	for i := range infos {
@@ -1250,7 +1193,7 @@ func (d *Daemon) requeuePartition(j *Job, orig *deviceState) *deviceState {
 	if !idleElsewhere {
 		return orig
 	}
-	idx := d.router.Pick(&Job{Class: j.Class, Pattern: j.Pattern, prog: j.prog, progHash: j.progHash}, infos)
+	idx := d.router.Pick(j, infos)
 	if idx < 0 || idx >= len(d.fleet) || !idleTarget(idx) {
 		return orig
 	}

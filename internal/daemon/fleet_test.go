@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"hpcqc/internal/admission"
 	"hpcqc/internal/device"
+	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 	"hpcqc/internal/simclock"
 )
@@ -710,5 +712,53 @@ func TestFleetDuplicateIDsRejected(t *testing.T) {
 	b, _ := device.New(device.Config{Clock: clk, Seed: 2, ID: "same"})
 	if _, err := NewDaemon(Config{Devices: []*device.Device{a, b}, Clock: clk, AdminToken: "x"}); err == nil {
 		t.Fatal("duplicate device IDs accepted")
+	}
+}
+
+// TestFleetMixedSpecsRejected checks NewDaemon admits only one-spec fleets:
+// partitions whose specs differ in any field — the name, or a single limit
+// under the same name — are refused, while same-spec partitions with
+// distinct IDs form a fleet that validates against the shared spec.
+func TestFleetMixedSpecsRejected(t *testing.T) {
+	clk := simclock.New()
+	newDev := func(id string, spec qir.DeviceSpec) *device.Device {
+		t.Helper()
+		dev, err := device.New(device.Config{Clock: clk, Seed: 1, ID: id, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	analog := qir.DefaultAnalogSpec()
+	tighter := analog
+	tighter.MaxShotsPerTask = 100
+	for _, other := range []qir.DeviceSpec{qir.DefaultDigitalSpec(), tighter} {
+		_, err := NewDaemon(Config{
+			Devices: []*device.Device{newDev("p0", analog), newDev("p1", other)},
+			Clock:   clk, AdminToken: "x",
+		})
+		if err == nil || !strings.Contains(err.Error(), `"p1"`) {
+			t.Fatalf("mixed fleet with %s accepted or unnamed: %v", other.Name, err)
+		}
+	}
+	d, err := NewDaemon(Config{
+		Devices: []*device.Device{newDev("p0", analog), newDev("p1", analog)},
+		Clock:   clk, AdminToken: "x",
+	})
+	if err != nil {
+		t.Fatalf("same-spec fleet with distinct IDs rejected: %v", err)
+	}
+	if got := len(d.Devices()); got != 2 {
+		t.Fatalf("fleet has %d partitions, want 2", got)
+	}
+	s, _ := d.OpenSession("alice")
+	for _, pin := range []string{"", "p1"} {
+		if _, err := d.Submit(s.Token, SubmitRequest{Program: payload(t, 500), Class: sched.ClassDev, Device: pin}); err != nil {
+			t.Fatalf("pin %q: valid program rejected: %v", pin, err)
+		}
+		if _, err := d.Submit(s.Token, SubmitRequest{Program: payload(t, analog.MaxShotsPerTask+1), Class: sched.ClassDev, Device: pin}); err == nil ||
+			!strings.Contains(err.Error(), "program rejected") {
+			t.Fatalf("pin %q: over-spec program not rejected: %v", pin, err)
+		}
 	}
 }

@@ -116,15 +116,12 @@ func (e *RejectedError) Error() string {
 // push, so every admitted job is visible to the next view and depth caps are
 // exact under concurrent submissions too.
 func (d *Daemon) admissionView() admission.View {
-	view := admission.View{
-		Devices: len(d.fleet),
-		ByClass: make(map[sched.Class]admission.ClassLoad, 3),
-	}
+	view := admission.View{Devices: len(d.fleet)}
 	now := d.cfg.Clock.Now()
 	for _, ds := range d.fleet {
 		counts, oldest, has, qpu := ds.queue.ClassLoads()
-		for c := sched.ClassDev; c <= sched.ClassProduction; c++ {
-			load := view.ByClass[c]
+		for c := range view.ByClass {
+			load := &view.ByClass[c]
 			load.Queued += counts[c]
 			load.QueuedQPUSeconds += qpu[c].Seconds()
 			if has[c] {
@@ -132,7 +129,6 @@ func (d *Daemon) admissionView() admission.View {
 					load.OldestAge = age
 				}
 			}
-			view.ByClass[c] = load
 		}
 		if ds.running != nil {
 			view.Running++
@@ -141,15 +137,11 @@ func (d *Daemon) admissionView() admission.View {
 	return view
 }
 
-// admitStage runs stage 1 for one submission: build the view (skipped for
-// policies that declare themselves Viewless), ask the policy, and count the
-// verdict. Decisions are serialized under d.mu so stateful policies (token
-// buckets, SLO windows) see submissions in order.
+// admitStage runs stage 1 for one submission: build the view, ask the
+// policy, and count the verdict. Decisions are serialized under d.mu so
+// stateful policies (token buckets, SLO windows) see submissions in order.
 func (d *Daemon) admitStage(req SubmitRequest, user string) admission.Decision {
-	var view admission.View
-	if _, skip := d.admitter.(admission.Viewless); !skip {
-		view = d.admissionView()
-	}
+	view := d.admissionView()
 	dec := d.admitter.Admit(admission.Request{
 		Class:              req.Class,
 		Pattern:            req.Pattern,
@@ -202,6 +194,13 @@ func (d *Daemon) retryAfterHint(class sched.Class) float64 {
 	return hint
 }
 
+// rejectedHistory bounds how many terminal rejected job records are retained
+// for status queries. Admission exists to absorb floods, so the flood's
+// rejection records must not grow daemon memory without bound; the oldest
+// records are pruned first, while counters and lifecycle events still see
+// every rejection.
+const rejectedHistory = 1024
+
 // recordRejected creates the terminal rejected job record for a shed
 // submission and emits its lifecycle event. The record is owned by the
 // session like any accepted job, so status queries and the admin job listing
@@ -234,7 +233,7 @@ func (d *Daemon) recordRejected(s *Session, token string, req SubmitRequest, dec
 	// and lifecycle events still see every shed; only the oldest queryable
 	// records go (their IDs then read as unknown jobs).
 	d.rejectedIDs = append(d.rejectedIDs, j.ID)
-	if n := len(d.rejectedIDs) - d.cfg.RejectedHistory; n > 0 {
+	if n := len(d.rejectedIDs) - rejectedHistory; n > 0 {
 		for _, id := range d.rejectedIDs[:n] {
 			old := d.jobs[id]
 			if old == nil {

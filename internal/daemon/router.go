@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"hpcqc/internal/device"
-	"hpcqc/internal/qir"
 	"hpcqc/internal/sched"
 )
 
@@ -25,7 +24,7 @@ import (
 // fleet index, so picks are deterministic). The historical single-policy
 // routers are single-scorer presets with weight 1 and keep their names and
 // exact pick sequences; the parameterized "affinity" router blends the load,
-// cache-affinity and capability/class scorers with configurable weights.
+// cache-affinity and class-home scorers with configurable weights.
 
 // DeviceInfo is the router's point-in-time view of one fleet partition.
 type DeviceInfo struct {
@@ -46,9 +45,6 @@ type DeviceInfo struct {
 	// affinity scorer's O(1) warm-set probe. The daemon fills it; probes are
 	// side-effect-free, so scoring never perturbs cache state.
 	cache *progLRU
-	// spec points at the partition's immutable device spec, the capability
-	// scorer's validation target. The daemon fills it; nil skips the check.
-	spec *qir.DeviceSpec
 }
 
 // load is the scalar the least-loaded policy minimizes.
@@ -142,28 +138,18 @@ func (affinityScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64)
 	}
 }
 
-// capScorer is the capability/class grade: a partition whose spec cannot run
-// the job's program scores 0 (heterogeneous-fleet guard, memoized through
-// qir.ValidateCached so the probe is a map hit); a capable partition scores
-// 0.5, raised to 1.0 on the job's class-home partition (production → 0,
-// test → 1, dev → 2 — the class-affinity isolation prior).
-type capScorer struct{}
+// homePriorScorer is the class-home prior: 1.0 on the job's class-home
+// partition (production → 0, test → 1, dev → 2 — the class-affinity
+// isolation prior), 0.5 everywhere else. Every partition shares the fleet's
+// one device spec, so the prior is the whole grade. Its weight key keeps the
+// historical spelling "cap", so affinity router names in reports are stable.
+type homePriorScorer struct{}
 
-func (capScorer) name() string { return "cap" }
+func (homePriorScorer) name() string { return "cap" }
 
-func (capScorer) score(j *Job, infos []DeviceInfo, el []int, out []float64) {
-	home := -1
-	if j != nil {
-		if h := int(sched.ClassProduction - j.Class); h >= 0 && h < len(infos) {
-			home = h
-		}
-	}
+func (homePriorScorer) score(j *Job, _ []DeviceInfo, el []int, out []float64) {
+	home := int(sched.ClassProduction - j.Class)
 	for k, i := range el {
-		if j != nil && j.prog != nil && infos[i].spec != nil &&
-			qir.ValidateCached(j.prog, infos[i].spec) != nil {
-			out[k] = 0
-			continue
-		}
 		if i == home {
 			out[k] = 1
 		} else {
@@ -363,20 +349,20 @@ func NewClassAffinityRouter() Router {
 // Default affinity-router weights: load still dominates (idle capacity beats
 // warmth when the spread is large), warmth breaks backlog near-ties (a 0.3
 // bonus outweighs the load-score gap between, say, 3 and 5 queued jobs), and
-// the capability/class grade is a thin prior.
+// the class-home grade is a thin prior.
 const (
 	defaultAffinityLoadWeight = 0.6
 	defaultAffinityWarmWeight = 0.3
 	defaultAffinityCapWeight  = 0.1
 )
 
-// NewAffinityRouter blends the load, cache-affinity and capability/class
-// scorers with the given weights (each ≥ 0, at least one positive; they are
+// NewAffinityRouter blends the load, cache-affinity and class-home scorers
+// with the given weights (each ≥ 0, at least one positive; they are
 // normalized internally). label becomes the router's reported name.
-func NewAffinityRouter(label string, load, warm, capability float64) (Router, error) {
+func NewAffinityRouter(label string, load, warm, home float64) (Router, error) {
 	return newWeightedRouter(label,
-		[]scorer{loadScorer{}, affinityScorer{}, capScorer{}},
-		[]float64{load, warm, capability})
+		[]scorer{loadScorer{}, affinityScorer{}, homePriorScorer{}},
+		[]float64{load, warm, home})
 }
 
 // routerUsage is the catalogue NewRouter errors point at.
@@ -385,7 +371,7 @@ const routerUsage = "round-robin, least-loaded, class-affinity, affinity[:load=W
 // NewRouter builds a router by policy name — the switch behind qcsd's
 // -router flag and the sweep axis values. The three classic names take no
 // parameters. "affinity" accepts colon-separated key=value weights for its
-// three scorers (load, affinity, cap), e.g.
+// three scorers (load, affinity, and cap — the class-home prior), e.g.
 // "affinity:load=0.6:affinity=0.3:cap=0.1"; omitted keys keep the defaults,
 // and the full spelling is preserved as the router's name so reports stay
 // self-describing.
@@ -408,7 +394,7 @@ func NewRouter(policy string) (Router, error) {
 		}
 		return NewClassAffinityRouter(), nil
 	case "affinity":
-		load, warm, capability := defaultAffinityLoadWeight, defaultAffinityWarmWeight, defaultAffinityCapWeight
+		load, warm, home := defaultAffinityLoadWeight, defaultAffinityWarmWeight, defaultAffinityCapWeight
 		if hasParams {
 			for _, kv := range strings.Split(params, ":") {
 				key, val, ok := strings.Cut(kv, "=")
@@ -425,13 +411,13 @@ func NewRouter(policy string) (Router, error) {
 				case "affinity":
 					warm = w
 				case "cap":
-					capability = w
+					home = w
 				default:
 					return nil, fmt.Errorf("daemon: router affinity: unknown parameter %q (load, affinity, cap)", key)
 				}
 			}
 		}
-		return NewAffinityRouter(policy, load, warm, capability)
+		return NewAffinityRouter(policy, load, warm, home)
 	default:
 		return nil, fmt.Errorf("daemon: unknown router policy %q (%s)", policy, routerUsage)
 	}

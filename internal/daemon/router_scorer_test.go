@@ -82,7 +82,7 @@ func TestAffinityWeightNormalization(t *testing.T) {
 	}
 }
 
-// TestAffinityZeroWeightDegeneration: zeroing the affinity and capability
+// TestAffinityZeroWeightDegeneration: zeroing the affinity and class-home
 // weights must reproduce the least-loaded pick sequence exactly — the blend
 // degenerates to its load term.
 func TestAffinityZeroWeightDegeneration(t *testing.T) {
@@ -124,7 +124,7 @@ func TestWeightedTieBreakDeterminism(t *testing.T) {
 			t.Fatalf("pick %d: tie resolved to %d, want 0", i, idx)
 		}
 	}
-	// On a home-sized fleet the capability prior deliberately breaks the tie
+	// On a home-sized fleet the class-home prior deliberately breaks the tie
 	// toward the class home.
 	if idx := r.Pick(&Job{Class: sched.ClassDev}, onlineFleet(1, 1, 1)); idx != 2 {
 		t.Fatalf("dev-home tiebreak = %d, want 2", idx)

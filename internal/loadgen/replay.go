@@ -29,6 +29,10 @@ func AllAdmissions() []string { return admission.AllPolicies() }
 // AllPriorities lists the priority policies a sweep expands "all" to.
 func AllPriorities() []string { return daemon.AllPriorities() }
 
+// drainGrace bounds how far past the trace horizon a replay advances waiting
+// for the backlog to drain, in simulation time.
+const drainGrace = 14 * 24 * time.Hour
+
 // ReplayConfig parameterizes one deterministic trace replay.
 type ReplayConfig struct {
 	// Devices sizes the fleet (default 4).
@@ -78,9 +82,6 @@ type ReplayConfig struct {
 	SetupSeconds float64
 	// Registry optionally receives the analyzer's telemetry histograms.
 	Registry *telemetry.Registry
-	// DrainGrace bounds how far past the trace horizon the replay advances
-	// waiting for the backlog to drain (default 14 days of simulation time).
-	DrainGrace time.Duration
 	// Tracing turns on simulation-time span emission: the report then carries
 	// per-class per-stage latency attribution (ClassSLO.Stages). Spans are
 	// deterministic, so tracing does not perturb schedule decisions or report
@@ -172,9 +173,6 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 	}
 	if cfg.Admission == "" {
 		cfg.Admission = "accept-all"
-	}
-	if cfg.DrainGrace <= 0 {
-		cfg.DrainGrace = 14 * 24 * time.Hour
 	}
 	if cfg.RateScale < 0 || math.IsNaN(cfg.RateScale) || math.IsInf(cfg.RateScale, 0) {
 		return nil, fmt.Errorf("loadgen: invalid rate scale %g", cfg.RateScale)
@@ -321,7 +319,7 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 	// jump fires exactly the events fixed-step probing would fire, in the
 	// same order — byte-identical reports — without paying a clock pass per
 	// empty probe minute.
-	deadline := horizon + cfg.DrainGrace
+	deadline := horizon + drainGrace
 	for {
 		submitted, terminal := an.Counts()
 		if terminal >= submitted {
@@ -329,7 +327,7 @@ func replayPrepared(prep *preparedTrace, cfg ReplayConfig) (*Report, error) {
 		}
 		if clk.Now() >= deadline {
 			return nil, fmt.Errorf("loadgen: %s/%s/%s backlog did not drain within %s past the horizon (%d/%d jobs terminal)",
-				cfg.Router, cfg.Scheduler, cfg.Admission, cfg.DrainGrace, terminal, submitted)
+				cfg.Router, cfg.Scheduler, cfg.Admission, drainGrace, terminal, submitted)
 		}
 		next, ok := clk.NextEventAt()
 		if !ok {
